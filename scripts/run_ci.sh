@@ -14,7 +14,9 @@
 #      B=8 (same-run ratio), fused PPO-update steps/s, serve
 #      intersections/s, sharded same-run speedup — each vs its
 #      committed BENCH_*.json),
-#   6. the coverage floors (stdlib trace; no coverage package):
+#   6. the benchmark's own self-tests (perfbench/: metric coverage,
+#      correctness checks and tracing, at tiny sizes),
+#   7. the coverage floors (stdlib trace; no coverage package):
 #      src/repro/obs and src/repro/scenarios.
 #
 # Usage, from the repository root:
@@ -38,6 +40,9 @@ REPRO_FUZZ_CASES=50 REPRO_FUZZ_SEED=20260808 REPRO_FUZZ_CASE_BUDGET_S=30 \
 
 echo "== perf regression gates (engine / engine_soa / train / batched-train / update / serve / sharded) =="
 python scripts/check_perf_regression.py --engine-soa-baseline benchmarks/BENCH_engine_soa.json
+
+echo "== benchmark self-tests (perfbench) =="
+python -m pytest perfbench -q
 
 echo "== telemetry coverage floor (src/repro/obs) =="
 python scripts/check_obs_coverage.py

@@ -13,7 +13,7 @@ import numpy as np
 from repro.nn.linear import Linear
 from repro.nn.lstm import LSTMCell
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, concat, lstm_trunk
+from repro.nn.tensor import Tensor, concat, lstm_sequence, lstm_trunk, stack
 
 
 class CoordinatedActor(Module):
@@ -54,9 +54,9 @@ class CoordinatedActor(Module):
         """Recurrent trunk only: encode the inputs and advance the LSTM.
 
         Returns ``(hidden, new_state)``.  The policy/message heads are
-        position-wise, so callers that unroll a whole sequence can stack
-        the hidden states and apply each head once to the stacked
-        ``(horizon, batch, hidden)`` tensor instead of once per step.
+        position-wise, so a whole sequence's hidden states (see
+        :meth:`sequence_hidden`) can go through each head once as a
+        stacked ``(horizon, batch, hidden)`` tensor.
         """
         obs = Tensor.ensure(obs)
         incoming_message = Tensor.ensure(incoming_message)
@@ -76,6 +76,37 @@ class CoordinatedActor(Module):
             return h_new, (h_new, c_new)
         encoded = self.encoder(x).tanh()
         return self.lstm(encoded, state)
+
+    def sequence_hidden(
+        self,
+        obs_seq: Tensor | np.ndarray,
+        incoming_seq: Tensor | np.ndarray,
+    ) -> Tensor:
+        """Recurrent trunk over a whole ``(horizon, batch, ·)`` sequence.
+
+        Starts from the zero initial state and returns the stacked
+        ``(horizon, batch, hidden)`` hidden states, bit-exact with
+        unrolling :meth:`step_hidden` and stacking.  Fused networks run
+        the single-node :func:`repro.nn.tensor.lstm_sequence` kernel;
+        ``fused=False`` unrolls the composed per-step chain.
+        """
+        obs_seq = Tensor.ensure(obs_seq)
+        incoming_seq = Tensor.ensure(incoming_seq)
+        if self.fused:
+            return lstm_sequence(
+                concat([obs_seq, incoming_seq], axis=-1),
+                self.encoder.weight,
+                self.encoder.bias,
+                self.lstm.weight,
+                self.lstm.bias,
+                workspace=self._trunk_workspace,
+            )
+        state = self.initial_state(obs_seq.shape[1])
+        hidden = []
+        for t in range(obs_seq.shape[0]):
+            h, state = self.step_hidden(obs_seq[t], incoming_seq[t], state)
+            hidden.append(h)
+        return stack(hidden, axis=0)
 
     def forward(
         self,

@@ -477,29 +477,17 @@ class PairUpLightSystem(AgentSystem):
         actor = self.shared_actor
         critic = self.shared_critic
         batch = np.asarray(batch, dtype=np.int64)
-        a_state = actor.initial_state(len(batch))
-        c_state = critic.initial_state(len(batch))
-        # Only the LSTM trunk is inherently sequential.  Unroll it step by
-        # step, then stack the hidden states and run every head (policy,
-        # message, value, log-softmax, entropy, gather) ONCE over the
-        # whole (horizon, batch, hidden) sequence.  All head ops operate
+        # Only the LSTM trunk is inherently sequential.  Each network runs
+        # it over the whole (horizon, batch) sequence — one graph node per
+        # trunk when fused — and every head (policy, message, value,
+        # log-softmax, entropy, gather) then runs ONCE over the stacked
+        # (horizon, batch, hidden) states.  All head ops operate
         # position-wise / reduce along the last axis only, so the result
-        # is element-for-element identical to the per-step formulation —
-        # but the autograd tape records ~9 nodes per step instead of ~40.
-        # One fancy-index per array for the whole minibatch; the loop
-        # below slices views out of these (cheap basic indexing).
-        obs_seq = data["obs"][:, batch]
-        msg_seq = data["msg_in"][:, batch]
-        feat_seq = data["critic_feat"][:, batch]
-        a_hidden: list[Tensor] = []
-        c_hidden: list[Tensor] = []
-        for t in range(horizon):
-            hidden, a_state = actor.step_hidden(obs_seq[t], msg_seq[t], a_state)
-            a_hidden.append(hidden)
-            hidden, c_state = critic.step_hidden(feat_seq[t], c_state)
-            c_hidden.append(hidden)
-        actor_seq = stack(a_hidden, axis=0)
-        critic_seq = stack(c_hidden, axis=0)
+        # is element-for-element identical to the per-step formulation.
+        actor_seq = actor.sequence_hidden(
+            data["obs"][:, batch], data["msg_in"][:, batch]
+        )
+        critic_seq = critic.sequence_hidden(data["critic_feat"][:, batch])
         logits = actor.policy_head(actor_seq)
         log_probs = F.log_softmax(logits)
         probs = F.softmax(logits)

@@ -20,7 +20,7 @@ from repro.env.tsc_env import TrafficSignalEnv
 from repro.nn.linear import Linear
 from repro.nn.lstm import LSTMCell
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, lstm_trunk
+from repro.nn.tensor import Tensor, lstm_sequence, lstm_trunk, stack
 
 #: Feature slots for one-hop neighbours (N/E/S/W of a grid interior node).
 ONE_HOP_SLOTS = 4
@@ -149,6 +149,27 @@ class CentralizedCritic(Module):
             return h_new, (h_new, c_new)
         encoded = self.encoder(features).tanh()
         return self.lstm(encoded, state)
+
+    def sequence_hidden(self, feature_seq: Tensor | np.ndarray) -> Tensor:
+        """Recurrent trunk over a whole ``(horizon, batch, features)``
+        sequence from the zero initial state; see
+        :meth:`CoordinatedActor.sequence_hidden`."""
+        feature_seq = Tensor.ensure(feature_seq)
+        if self.fused:
+            return lstm_sequence(
+                feature_seq,
+                self.encoder.weight,
+                self.encoder.bias,
+                self.lstm.weight,
+                self.lstm.bias,
+                workspace=self._trunk_workspace,
+            )
+        state = self.initial_state(feature_seq.shape[1])
+        hidden = []
+        for t in range(feature_seq.shape[0]):
+            h, state = self.step_hidden(feature_seq[t], state)
+            hidden.append(h)
+        return stack(hidden, axis=0)
 
     def forward(
         self, features: Tensor | np.ndarray, state: tuple

@@ -291,19 +291,31 @@ class TrafficSignalEnv:
             info["average_travel_time"] = average_travel_time(self.sim)
             info["finished_vehicles"] = len(self.sim.finished_vehicles)
             info["total_created"] = self.sim.total_created
-        if self._telemetry is not None:
-            self._telemetry.metrics.count("env.steps")
-            if self.sim.teleport_count != self._teleports_seen:
-                self._telemetry.teleport(
-                    self.sim.time, self.sim.teleport_count - self._teleports_seen
-                )
-                self._teleports_seen = self.sim.teleport_count
-            if done:
-                self._telemetry.metrics.gauge("env.last_episode_ticks", self.sim.time)
-                self._telemetry.metrics.gauge(
-                    "env.last_vehicles_in_network", info["vehicles_in_network"]
-                )
+        self._record_step(done, info["vehicles_in_network"])
         return StepResult(observations, rewards, done, info)
+
+    def _record_step(self, done: bool, vehicles_in_network: int) -> None:
+        """Step telemetry: the ``env.steps`` count, teleport events and
+        the end-of-episode gauges.  A no-op without a telemetry sink.
+
+        Shared by :meth:`_finish_step` and the batched step finisher
+        (:meth:`repro.eval.batched_obs.BatchedStepExtractor.finish_all`),
+        so attaching telemetry records the same thing on both paths.
+        """
+        telemetry = self._telemetry
+        if telemetry is None:
+            return
+        telemetry.metrics.count("env.steps")
+        if self.sim.teleport_count != self._teleports_seen:
+            telemetry.teleport(
+                self.sim.time, self.sim.teleport_count - self._teleports_seen
+            )
+            self._teleports_seen = self.sim.teleport_count
+        if done:
+            telemetry.metrics.gauge("env.last_episode_ticks", self.sim.time)
+            telemetry.metrics.gauge(
+                "env.last_vehicles_in_network", vehicles_in_network
+            )
 
     def _is_done(self) -> bool:
         assert self.sim is not None

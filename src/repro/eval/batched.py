@@ -91,8 +91,8 @@ class LockstepEnvGroup:
             observations.append(env._adopt_sim(self.engine.view(b), seed))
         # Detector suites were rebuilt by _adopt_sim, so the extractor is
         # rebuilt too; ineligible configurations (fault-injecting
-        # detectors, telemetry, heterogeneous layouts) get None and fall
-        # back to the bit-identical per-env path.
+        # detectors, heterogeneous layouts) get None and fall back to the
+        # bit-identical per-env path.
         from repro.eval.batched_obs import BatchedStepExtractor
 
         self.extractor = BatchedStepExtractor.maybe_build(self.envs, self.engine)

@@ -21,9 +21,10 @@ selection, critic pressures — then reads identical values through the
 unchanged per-env API.
 
 Eligibility is conservative: any env with a subclassed detector suite
-(fault injection), attached telemetry, or a non-uniform observation
-layout falls back to the reference per-env ``_finish_step`` path, which
-remains the oracle for the equivalence tests.
+(fault injection) or a non-uniform observation layout falls back to the
+reference per-env ``_finish_step`` path, which remains the oracle for
+the equivalence tests.  Attached telemetry does not disqualify: both
+paths record each step through ``TrafficSignalEnv._record_step``.
 """
 
 from __future__ import annotations
@@ -129,8 +130,6 @@ class BatchedStepExtractor:
         for env in envs:
             if type(env.detectors) is not DetectorSuite:
                 return None  # fault-injecting suites bypass bulk mode
-            if env._telemetry is not None:
-                return None  # telemetry counts env.steps per _finish_step
             if env.agent_ids != head.agent_ids:
                 return None
             if (
@@ -206,6 +205,7 @@ class BatchedStepExtractor:
                 info["average_travel_time"] = average_travel_time(env.sim)
                 info["finished_vehicles"] = len(env.sim.finished_vehicles)
                 info["total_created"] = env.sim.total_created
+            env._record_step(done, info["vehicles_in_network"])
             results.append(StepResult(observations, rewards, done, info))
         return results
 

@@ -27,7 +27,17 @@ from repro.nn.serialization import (
     save_state,
     validate_finite_state,
 )
-from repro.nn.tensor import Tensor, affine, concat, lstm_cell, lstm_trunk, no_grad, stack, where
+from repro.nn.tensor import (
+    Tensor,
+    affine,
+    concat,
+    lstm_cell,
+    lstm_sequence,
+    lstm_trunk,
+    no_grad,
+    stack,
+    where,
+)
 
 __all__ = [
     "Adam",
@@ -53,6 +63,7 @@ __all__ = [
     "initialize",
     "load_state",
     "lstm_cell",
+    "lstm_sequence",
     "lstm_trunk",
     "no_grad",
     "read_archive",

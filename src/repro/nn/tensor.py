@@ -15,11 +15,20 @@ PPO / A2C / DQN losses — rather than being a general-purpose framework.
 All arithmetic supports numpy-style broadcasting; gradients are
 "unbroadcast" (summed) back to the operand shapes.
 
-Two fused kernels complement the generic op set: :func:`affine`
-(``x @ W + b`` as one node) and :func:`lstm_cell` (a full LSTM step —
-four gates plus the state update — as two nodes with a hand-derived
-backward).  Both are bit-exact with the composed op sequences they
-replace, in forward values *and* accumulated gradients.
+Four fused kernels complement the generic op set, each with a
+hand-derived backward:
+
+* :func:`affine` — ``x @ W + b`` as one node;
+* :func:`lstm_cell` — a full LSTM step (four gates plus the state
+  update) as two nodes;
+* :func:`lstm_trunk` — one encoder→tanh→LSTM step as two nodes, the
+  recurrent trunk of the PairUpLight actor and critic when acting;
+* :func:`lstm_sequence` — that trunk unrolled over a whole ``(T, N, D)``
+  sequence from a zero state as **one** node, whose backward runs the
+  full BPTT loop; the PPO update re-evaluates stored rollouts with it.
+
+All four are bit-exact with the composed op sequences they replace, in
+forward values *and* accumulated gradients.
 """
 
 from __future__ import annotations
@@ -963,3 +972,159 @@ def lstm_trunk(
 
     h_new = Tensor._from_op(h_data, (c_new,), tap_backward)
     return h_new, c_new
+
+
+def lstm_sequence(
+    x: Union[Tensor, ArrayLike],
+    enc_weight: Union[Tensor, ArrayLike],
+    enc_bias: Union[Tensor, ArrayLike],
+    weight: Union[Tensor, ArrayLike],
+    bias: Union[Tensor, ArrayLike],
+    workspace: dict | None = None,
+) -> Tensor:
+    """Whole-sequence recurrent trunk: :func:`lstm_trunk` over ``T`` steps.
+
+    ``x`` is a ``(T, N, D)`` input sequence; the LSTM starts from a zero
+    ``(h, c)`` state (Algorithm 1, line 4) and the stacked ``(T, N, H)``
+    hidden states are returned as **one** graph node, where the per-step
+    unroll records two nodes per step plus a ``stack``.
+
+    The forward is a plain numpy loop replaying :func:`lstm_trunk`'s
+    expressions.  The backward runs BPTT in reverse step order and
+    replays ``tap_backward``/``trunk_backward`` exactly: ``dh_t`` is the
+    head gradient ``dH[t]`` plus the recurrent term from step ``t + 1``,
+    and ``dc_t`` is ``dc_{t+1} * f_{t+1}`` plus the tap term.  Each
+    parameter's per-step gradients are summed in the order the tape
+    would accumulate them (``t = T - 1`` first) and handed to
+    :meth:`Tensor._accumulate` once, so forwards and accumulated
+    gradients are bit-exact with the per-step unroll followed by
+    :func:`stack`.
+    """
+    x = Tensor.ensure(x)
+    enc_weight = Tensor.ensure(enc_weight)
+    enc_bias = Tensor.ensure(enc_bias)
+    weight = Tensor.ensure(weight)
+    bias = Tensor.ensure(bias)
+    if x.data.ndim != 3:
+        raise ValueError("lstm_sequence expects (steps, batch, features) inputs")
+    steps, rows = x.data.shape[0], x.data.shape[1]
+    hs = weight.data.shape[-1] // 4
+    enc_out = enc_weight.data.shape[-1]
+    ws = workspace if workspace is not None else {}
+
+    zeros = np.zeros((rows, hs))
+    h_prev = c_prev = zeros
+    hidden = np.empty((steps, rows, hs))
+    # Per-step activations (xh, i, f, g, o, c_prev, tanh(c)) for BPTT;
+    # ``encoded`` is read back from the head of ``xh``.
+    saved: list[tuple] = []
+    for t in range(steps):
+        pre = _ws_buffer(ws, "enc_pre", (rows, enc_out))
+        np.matmul(x.data[t], enc_weight.data, out=pre)
+        pre += enc_bias.data
+        encoded = np.tanh(pre)
+        xh = np.concatenate([encoded, h_prev], axis=-1)
+        gates = _ws_buffer(ws, "gates", (rows, 4 * hs))
+        np.matmul(xh, weight.data, out=gates)
+        gates += bias.data
+        if_gates = _stable_sigmoid(gates[:, 0 * hs : 2 * hs])
+        i_gate = if_gates[:, :hs]
+        f_gate = if_gates[:, hs:]
+        g_gate = np.tanh(gates[:, 2 * hs : 3 * hs])
+        o_gate = _stable_sigmoid(gates[:, 3 * hs : 4 * hs])
+        c_data = f_gate * c_prev + i_gate * g_gate
+        tanh_c = np.tanh(c_data)
+        h_data = o_gate * tanh_c
+        hidden[t] = h_data
+        saved.append((xh, i_gate, f_gate, g_gate, o_gate, c_prev, tanh_c))
+        h_prev = h_data
+        c_prev = c_data
+
+    def sequence_backward(d_hidden: np.ndarray) -> None:
+        dpre = _ws_buffer(ws, "dpre", (rows, 4 * hs))
+        s = _ws_buffer(ws, "scratch", (rows, hs))
+        u = _ws_buffer(ws, "tap2", (rows, hs))
+        dxh = _ws_buffer(ws, "dxh", (rows, enc_out + hs))
+        dpre_enc = _ws_buffer(ws, "dpre_enc", (rows, enc_out))
+        step_dw = _ws_buffer(ws, "dw", weight.data.shape)
+        step_db = _ws_buffer(ws, "db", bias.data.shape)
+        step_dwe = _ws_buffer(ws, "dwe", enc_weight.data.shape)
+        step_dbe = _ws_buffer(ws, "dbe", enc_bias.data.shape)
+        sum_dw = _ws_buffer(ws, "sum_dw", weight.data.shape)
+        sum_db = _ws_buffer(ws, "sum_db", bias.data.shape)
+        sum_dwe = _ws_buffer(ws, "sum_dwe", enc_weight.data.shape)
+        sum_dbe = _ws_buffer(ws, "sum_dbe", enc_bias.data.shape)
+        dx = np.empty(x.data.shape) if x.requires_grad else None
+        di = dpre[:, 0 * hs : 1 * hs]
+        df = dpre[:, 1 * hs : 2 * hs]
+        dg = dpre[:, 2 * hs : 3 * hs]
+        do = dpre[:, 3 * hs : 4 * hs]
+        dh_rec = dc_rec = None
+        for t in range(steps - 1, -1, -1):
+            xh, i_gate, f_gate, g_gate, o_gate, c_before, tanh_c = saved[t]
+            first = t == steps - 1
+            dh = d_hidden[t] if dh_rec is None else d_hidden[t] + dh_rec
+            # h tap: dh * o * (1 - tanh(c)^2) routed into dc.
+            tap = np.multiply(dh, o_gate)
+            np.multiply(tanh_c, tanh_c, out=u)
+            np.subtract(1.0, u, out=u)
+            tap *= u
+            dc = tap if dc_rec is None else np.add(dc_rec, tap, out=tap)
+            np.multiply(dc, g_gate, out=di)
+            di *= i_gate
+            np.subtract(1.0, i_gate, out=s)
+            di *= s
+            np.multiply(dc, c_before, out=df)
+            df *= f_gate
+            np.subtract(1.0, f_gate, out=s)
+            df *= s
+            np.multiply(dc, i_gate, out=dg)
+            np.multiply(g_gate, g_gate, out=s)
+            np.subtract(1.0, s, out=s)
+            dg *= s
+            np.multiply(dh, tanh_c, out=do)
+            do *= o_gate
+            np.subtract(1.0, o_gate, out=s)
+            do *= s
+            dpre += 0.0
+            if weight.requires_grad:
+                np.matmul(xh.T, dpre, out=sum_dw if first else step_dw)
+                if not first:
+                    sum_dw += step_dw
+            if bias.requires_grad:
+                np.sum(dpre, axis=0, out=sum_db if first else step_db)
+                if not first:
+                    sum_db += step_db
+            np.matmul(dpre, weight.data.T, out=dxh)
+            if t > 0:
+                dh_rec = dxh[:, enc_out:]
+                dc_rec = np.multiply(dc, f_gate)
+            # Encoder tail: replay the composed tanh + affine backwards.
+            encoded = xh[:, :enc_out]
+            np.multiply(encoded, encoded, out=dpre_enc)
+            np.subtract(1.0, dpre_enc, out=dpre_enc)
+            dpre_enc *= dxh[:, :enc_out]
+            if enc_bias.requires_grad:
+                np.sum(dpre_enc, axis=0, out=sum_dbe if first else step_dbe)
+                if not first:
+                    sum_dbe += step_dbe
+            if dx is not None:
+                np.matmul(dpre_enc, enc_weight.data.T, out=dx[t])
+            if enc_weight.requires_grad:
+                np.matmul(x.data[t].T, dpre_enc, out=sum_dwe if first else step_dwe)
+                if not first:
+                    sum_dwe += step_dwe
+        if weight.requires_grad:
+            weight._accumulate(sum_dw)
+        if bias.requires_grad:
+            bias._accumulate(sum_db)
+        if enc_bias.requires_grad:
+            enc_bias._accumulate(sum_dbe)
+        if dx is not None:
+            x._accumulate(dx)
+        if enc_weight.requires_grad:
+            enc_weight._accumulate(sum_dwe)
+
+    return Tensor._from_op(
+        hidden, (x, enc_weight, enc_bias, weight, bias), sequence_backward
+    )

@@ -188,38 +188,47 @@ class PPOUpdater:
         kls: list[float],
         clip_fracs: list[float],
     ) -> bool:
-        """One minibatch forward/backward/step; returns the KL-stop flag."""
+        """One minibatch forward/backward/step; returns the KL-stop flag.
+
+        ``update/minibatch`` times the whole step; the nested
+        ``update/evaluate`` (sequence re-evaluation plus loss),
+        ``update/backward`` and ``update/step`` (gradient clipping and
+        the optimizer steps) sections attribute it.
+        """
         cfg = self.config
         with TIMERS.section("update/minibatch"):
-            new_logprobs, entropy, values = evaluate(batch)
-            adv = Tensor(advantages[:, batch])
-            ratio = (new_logprobs - Tensor(old_logprobs[:, batch])).exp()
-            surrogate1 = ratio * adv
-            surrogate2 = ratio.clip(1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * adv
-            policy_loss = -surrogate1.minimum(surrogate2).mean()
-            entropy_bonus = entropy.mean()
-            target = Tensor(returns[:, batch])
-            value_error = values - target
-            value_loss = value_error * value_error
-            if cfg.value_clip_eps is not None:
-                anchor = Tensor(old_values[:, batch])
-                clipped = anchor + (values - anchor).clip(
-                    -cfg.value_clip_eps, cfg.value_clip_eps
+            with TIMERS.section("update/evaluate"):
+                new_logprobs, entropy, values = evaluate(batch)
+                adv = Tensor(advantages[:, batch])
+                ratio = (new_logprobs - Tensor(old_logprobs[:, batch])).exp()
+                surrogate1 = ratio * adv
+                surrogate2 = ratio.clip(1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * adv
+                policy_loss = -surrogate1.minimum(surrogate2).mean()
+                entropy_bonus = entropy.mean()
+                target = Tensor(returns[:, batch])
+                value_error = values - target
+                value_loss = value_error * value_error
+                if cfg.value_clip_eps is not None:
+                    anchor = Tensor(old_values[:, batch])
+                    clipped = anchor + (values - anchor).clip(
+                        -cfg.value_clip_eps, cfg.value_clip_eps
+                    )
+                    clipped_error = clipped - target
+                    value_loss = value_loss.maximum(clipped_error * clipped_error)
+                value_loss = value_loss.mean()
+                total = (
+                    policy_loss
+                    + cfg.value_coef * value_loss
+                    - cfg.entropy_coef * entropy_bonus
                 )
-                clipped_error = clipped - target
-                value_loss = value_loss.maximum(clipped_error * clipped_error)
-            value_loss = value_loss.mean()
-            total = (
-                policy_loss
-                + cfg.value_coef * value_loss
-                - cfg.entropy_coef * entropy_bonus
-            )
-            for optimizer in self.optimizers:
-                optimizer.zero_grad()
-            total.backward()
-            clip_grad_norm(self.parameters, cfg.max_grad_norm)
-            for optimizer in self.optimizers:
-                optimizer.step()
+            with TIMERS.section("update/backward"):
+                for optimizer in self.optimizers:
+                    optimizer.zero_grad()
+                total.backward()
+            with TIMERS.section("update/step"):
+                clip_grad_norm(self.parameters, cfg.max_grad_norm)
+                for optimizer in self.optimizers:
+                    optimizer.step()
 
             log_ratio = new_logprobs.data - old_logprobs[:, batch]
             approx_kl = float(np.mean(np.exp(log_ratio) - 1.0 - log_ratio))

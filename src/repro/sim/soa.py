@@ -1495,9 +1495,22 @@ class SoAReplicaView:
         self.signals = _LazyMapping(
             engine._sig_nodes, self._signal_views.__getitem__
         )
-        self.running = _LazyMapping(engine._link_ids, self._running_views)
-        self.lane_queues = _LazyMapping(engine._lane_ids, self._queue_views)
-        self.vehicles = _VehiclesMapping(self)
+
+    # The mappings below are built per access rather than stored: a
+    # stored mapping would hold a bound method of this view, and the
+    # resulting cycle would keep the whole engine alive after the episode
+    # until the cyclic garbage collector happens to run.
+    @property
+    def running(self) -> _LazyMapping:
+        return _LazyMapping(self.engine._link_ids, self._running_views)
+
+    @property
+    def lane_queues(self) -> _LazyMapping:
+        return _LazyMapping(self.engine._lane_ids, self._queue_views)
+
+    @property
+    def vehicles(self) -> "_VehiclesMapping":
+        return _VehiclesMapping(self)
 
     # -- lifecycle -----------------------------------------------------
     @property

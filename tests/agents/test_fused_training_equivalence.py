@@ -11,7 +11,8 @@ Three contracts on a tiny grid:
   reduce over (T*M) rows in one GEMM instead of T accumulated GEMMs, so
   they agree only to reduction-order rounding (~1e-15 relative).
 * telemetry on vs off — enabling :data:`repro.perf.timers.TIMERS`
-  (the PPO epoch/minibatch spans) must not perturb training.
+  (the PPO epoch/minibatch spans and the evaluate/backward/step
+  sections nested in each minibatch) must not perturb training.
 """
 
 from __future__ import annotations
@@ -150,3 +151,12 @@ class TestTelemetryBitExactness:
         assert "update/minibatch" in report
         assert report["update/epoch"]["calls"] >= 1
         assert report["update/minibatch"]["calls"] >= report["update/epoch"]["calls"]
+        # The minibatch span is attributed by three nested sections, one
+        # call each per minibatch, that together fit inside it.
+        nested = ("update/evaluate", "update/backward", "update/step")
+        for name in nested:
+            assert report[name]["calls"] == report["update/minibatch"]["calls"], name
+        assert (
+            sum(report[name]["seconds"] for name in nested)
+            <= report["update/minibatch"]["seconds"]
+        )

@@ -14,7 +14,8 @@ seed, down to the parameter bytes.  The suite pins:
   (still bit-exact);
 * the clean ``ConfigError`` for agents the policy group cannot drive;
 * the ``shared_across_replicas`` training regime (no serial oracle:
-  deterministic, finite, one combined update);
+  deterministic, finite, one combined update; ``fused=True`` bit-exact
+  with the composed ``fused=False`` chain);
 * the satellite fix: ``duration_s`` is the per-seed share and
   ``group_duration_s`` the whole-group wall-clock.
 """
@@ -134,11 +135,87 @@ class TestExtractorEligibility:
         group.reset_all(SEEDS)
         assert group.extractor is not None
 
+    def test_telemetry_keeps_extractor_and_matches_per_env(self, tmp_path):
+        """Attached telemetry no longer forces the per-env path, and the
+        extractor records exactly what the per-env finisher records."""
+        from repro.obs.events import read_events
+        from repro.obs.telemetry import Telemetry
+
+        def rollout(name, use_extractor):
+            envs = _make_envs()
+            sinks = [
+                Telemetry(tmp_path / f"{name}{b}", seed=b) for b in range(len(envs))
+            ]
+            for env, sink in zip(envs, sinks):
+                env.attach_telemetry(sink)
+            group = LockstepEnvGroup(envs)
+            group.reset_all(SEEDS)
+            engaged = group.extractor is not None
+            if not use_extractor:
+                group.extractor = None
+            steps = []
+            for decision in range(1000):
+                actions = [
+                    {a: (decision // 2) % env.action_spaces[a].n for a in env.agent_ids}
+                    for env in envs
+                ]
+                results = group.step_all(actions)
+                steps.append(results)
+                if all(result.done for result in results):
+                    break
+            logs = []
+            for sink in sinks:
+                sink.events.flush()
+                logs.append(
+                    [(e["type"], e["data"]) for e in read_events(sink.events.path)]
+                )
+            snapshots = [sink.metrics.snapshot() for sink in sinks]
+            for sink in sinks:
+                sink.close()
+            return engaged, snapshots, logs, steps
+
+        engaged, snap_fast, logs_fast, steps_fast = rollout("fast", True)
+        _, snap_ref, logs_ref, steps_ref = rollout("ref", False)
+        assert engaged
+        assert snap_fast == snap_ref
+        assert snap_fast[0]["counters"]["env.steps"] == len(steps_fast)
+        assert "env.last_episode_ticks" in snap_fast[0]["gauges"]
+        assert logs_fast == logs_ref
+        assert len(steps_fast) == len(steps_ref)
+        for fast, ref in zip(steps_fast, steps_ref):
+            for a, b in zip(fast, ref):
+                assert a.done == b.done and a.info == b.info
+                assert a.rewards == b.rewards
+                for node_id in a.observations:
+                    assert np.array_equal(a.observations[node_id], b.observations[node_id])
+
     def test_faulty_detectors_disqualify(self):
         faults = FaultConfig(detector_dropout=0.3)
         group = LockstepEnvGroup(_make_envs(faults))
         group.reset_all(SEEDS)
         assert group.extractor is None
+
+
+class TestEngineLifetime:
+    def test_previous_engine_freed_without_cycle_collection(self):
+        """A finished episode's engine is freed as soon as the next
+        ``reset_all`` replaces it: no reference cycle keeps it (and its
+        arrays) alive until the cyclic garbage collector runs."""
+        import gc
+        import weakref
+
+        group = LockstepEnvGroup(_make_envs())
+        group.reset_all(SEEDS)
+        group.step_all([{a: 0 for a in env.agent_ids} for env in group.envs])
+        previous = weakref.ref(group.engine)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            group.reset_all([seed + 1 for seed in SEEDS])
+            assert previous() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestIncompatibleAgents:
@@ -174,6 +251,26 @@ class TestSharedAcrossReplicas:
         for log_0, log_1 in zip(hist_a[0].episodes, hist_a[1].episodes):
             assert log_0.update_stats == log_1.update_stats
         _assert_same_histories(hist_a, hist_b)
+
+    def test_fused_matches_composed_bit_exact(self):
+        """The shared-mode oracle: the fused update path (whole-sequence
+        trunk kernel) trains exactly like the composed per-step chain."""
+        from repro.agents import PairUpLightConfig, PairUpLightSystem
+
+        def run(fused):
+            def factory(env, seed):
+                return PairUpLightSystem(
+                    env, PairUpLightConfig(fused=fused), seed=seed
+                )
+
+            return _batched_histories(
+                factory, batched_policy=True, shared_across_replicas=True
+            )
+
+        fused_agents, fused_hist = run(True)
+        composed_agents, composed_hist = run(False)
+        _assert_same_parameters(fused_agents, composed_agents)
+        _assert_same_histories(fused_hist, composed_hist)
 
 
 class TestGroupDurationStamping:

@@ -12,7 +12,7 @@ import pytest
 
 from gradcheck import gradcheck
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor, affine, lstm_cell, lstm_trunk
+from repro.nn.tensor import Tensor, affine, lstm_cell, lstm_sequence, lstm_trunk
 
 TOL = 1e-6
 
@@ -68,6 +68,15 @@ class TestFusedOps:
         w = _rand((8, 16), 22)
         b = _rand((16,), 23)
         assert gradcheck(lambda *t: lstm_trunk(*t), [x, h, c, we, be, w, b]) <= TOL
+
+    def test_lstm_sequence(self):
+        """Whole-sequence BPTT: grads flow through h and c across steps."""
+        x = _rand((3, 2, 5), 24)
+        we = _rand((5, 4), 25)
+        be = _rand((4,), 26)
+        w = _rand((8, 16), 27)
+        b = _rand((16,), 28)
+        assert gradcheck(lambda *t: lstm_sequence(*t), [x, we, be, w, b]) <= TOL
 
 
 class TestComposedOpSample:
