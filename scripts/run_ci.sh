@@ -16,7 +16,11 @@
 #      committed BENCH_*.json),
 #   6. the benchmark's own self-tests (perfbench/: metric coverage,
 #      correctness checks and tracing, at tiny sizes),
-#   7. the coverage floors (stdlib trace; no coverage package):
+#   7. the lockstep routing stage: one short traced 6x6 B=8 shared
+#      rollout that must be correct (the traced run reproduces the
+#      untraced waits and counts) with zero per-env extraction
+#      fallback steps, so the array routing path stays engaged,
+#   8. the coverage floors (stdlib trace; no coverage package):
 #      src/repro/obs and src/repro/scenarios.
 #
 # Usage, from the repository root:
@@ -43,6 +47,17 @@ python scripts/check_perf_regression.py --engine-soa-baseline benchmarks/BENCH_e
 
 echo "== benchmark self-tests (perfbench) =="
 python -m pytest perfbench -q
+
+echo "== lockstep routing stage (traced 6x6 B=8 shared rollout) =="
+python3 perfbench/run.py --workload rollout_6x6_shared_b8 --seed 1 --seconds 2 --trace 1 \
+    | tail -n 1 | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+fallback = result["metrics"]["eval.batched_obs.fallback_steps"]["value"]
+print("correct=%s fallback_steps=%s" % (result["correct"], fallback))
+if not result["correct"] or fallback != 0:
+    sys.exit("lockstep routing stage failed")
+'
 
 echo "== telemetry coverage floor (src/repro/obs) =="
 python scripts/check_obs_coverage.py

@@ -346,8 +346,7 @@ class PairUpLightSystem(AgentSystem):
         m_hat, raw_msg, msg_logprobs = self.regularizer.transmit(msg_means, training)
         logprobs = action_logprobs + (msg_logprobs if cfg.communicate else 0.0)
 
-        for index, agent_id in enumerate(self.agent_ids):
-            self.board.post(agent_id, m_hat[index])
+        self.board.post_rows(m_hat)
 
         if training:
             if critic_feats is None:

@@ -19,6 +19,9 @@ module drives all replicas' PairUpLight systems together:
   leakage), rollouts accumulate into ``(T, B·M, ·)`` buffers, and one
   PPO update runs over the combined batch.  There is no serial oracle
   for this regime; it is a new, deterministic-in-seed training mode.
+  Whenever the batched step extractor is engaged, partner selection
+  and message routing run on ``(B, M)`` arrays (see :meth:`_route`);
+  the per-agent loop remains as the reference for the fallback path.
 """
 
 from __future__ import annotations
@@ -30,11 +33,14 @@ from repro.agents.pairuplight.messaging import (
     FaultyMessageChannel,
     MessageBoard,
     ResilientMessageReader,
+    candidate_table,
     select_partner,
+    select_partner_rows,
 )
 from repro.env.tsc_env import StepResult, TrafficSignalEnv
 from repro.errors import ConfigError
 from repro.nn.tensor import no_grad
+from repro.perf.timers import TIMERS
 from repro.rl.buffer import RolloutBuffer
 from repro.rl.gae import compute_gae
 
@@ -76,10 +82,14 @@ class BatchedPolicyGroup:
                 )
             self.master = head
             self._buffer = RolloutBuffer()
+            # Every replica's board is a slice of one (B, M, D) block, so
+            # routing reads all of them with one gather.
+            self._messages = np.zeros((self.B, self.M, head.config.message_dim))
             self._boards = [
-                MessageBoard(self.agent_ids, head.config.message_dim)
-                for _ in range(self.B)
+                MessageBoard(self.agent_ids, head.config.message_dim, messages)
+                for messages in self._messages
             ]
+            self._partner_table = candidate_table(self.envs[0], self.agent_ids)
             self._readers = [
                 ResilientMessageReader(
                     self.agent_ids,
@@ -255,75 +265,54 @@ class BatchedPolicyGroup:
         flat = B * M
         incoming = np.zeros((B, M, cfg.message_dim))
         if cfg.communicate:
-            for b in range(B):
-                if not live[b]:
-                    continue  # drained replica: no detector reads
-                board = self._boards[b]
-                reader = self._readers[b]
-                channel = self._channels[b]
-                env = self.envs[b]
-                for i, agent_id in enumerate(self.agent_ids):
-                    partner = select_partner(
-                        env,
-                        agent_id,
-                        strategy=cfg.partner_strategy,
-                        rng=master._rng,
-                    )
-                    message = board.read(partner)
-                    if channel is not None:
-                        message = channel.deliver(agent_id, message)
-                    if cfg.degrade_on_loss:
-                        message = reader.receive(
-                            agent_id, message, board.read(agent_id)
-                        )
-                    elif message is None:
-                        message = np.zeros(cfg.message_dim)
-                    incoming[b, i] = message
+            with TIMERS.section("act/route"):
+                self._route(incoming, live)
 
-        obs_mat = np.asarray(
-            [
-                [observations[b][a] for a in self.agent_ids]
-                for b in range(B)
-            ],
-            dtype=np.float64,
-        )
-        with no_grad():
-            logits_t, msg_mean_t, new_state = master.shared_actor(
-                obs_mat.reshape(flat, -1),
-                incoming.reshape(flat, cfg.message_dim),
-                self._actor_state,
+        with TIMERS.section("act/forward"):
+            obs_mat = np.asarray(
+                [
+                    [observations[b][a] for a in self.agent_ids]
+                    for b in range(B)
+                ],
+                dtype=np.float64,
             )
-            self._actor_state = (new_state[0].detach(), new_state[1].detach())
-            logits = np.asarray(logits_t.data)
-            msg_means = msg_mean_t.data
+            with no_grad():
+                logits_t, msg_mean_t, new_state = master.shared_actor(
+                    obs_mat.reshape(flat, -1),
+                    incoming.reshape(flat, cfg.message_dim),
+                    self._actor_state,
+                )
+                self._actor_state = (new_state[0].detach(), new_state[1].detach())
+                logits = np.asarray(logits_t.data)
+                msg_means = msg_mean_t.data
+            if training:
+                # The critic draws no randomness, so evaluating it before
+                # sampling leaves every RNG stream where it was.
+                feats = self._assemble_feats()
+                if feats is None:
+                    feats = np.stack(
+                        [self._reference_feats(b, observations[b]) for b in range(B)]
+                    )
+                feats_flat = feats.reshape(flat, -1)
+                with no_grad():
+                    values_t, new_c = master.shared_critic(
+                        feats_flat, self._critic_state
+                    )
+                    self._critic_state = (new_c[0].detach(), new_c[1].detach())
 
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=1, keepdims=True)
-        actions_flat, action_logprobs = self._sample_flat(probs, training)
-        m_hat, raw_msg, msg_logprobs = master.regularizer.transmit(
-            msg_means, training
-        )
-        logprobs = action_logprobs + (msg_logprobs if cfg.communicate else 0.0)
-
-        for b in range(B):
-            board = self._boards[b]
-            base = b * M
-            for i, agent_id in enumerate(self.agent_ids):
-                board.post(agent_id, m_hat[base + i])
+        with TIMERS.section("act/sample"):
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            exp = np.exp(shifted)
+            probs = exp / exp.sum(axis=1, keepdims=True)
+            actions_flat, action_logprobs = self._sample_flat(probs, training)
+            m_hat, raw_msg, msg_logprobs = master.regularizer.transmit(
+                msg_means, training
+            )
+            logprobs = action_logprobs + (msg_logprobs if cfg.communicate else 0.0)
+            # Post every replica's messages (live or not) in one write.
+            self._messages[...] = m_hat.reshape(B, M, cfg.message_dim)
 
         if training:
-            feats = self._assemble_feats()
-            if feats is None:
-                feats = np.stack(
-                    [self._reference_feats(b, observations[b]) for b in range(B)]
-                )
-            feats_flat = feats.reshape(flat, -1)
-            with no_grad():
-                values_t, new_c = master.shared_critic(
-                    feats_flat, self._critic_state
-                )
-                self._critic_state = (new_c[0].detach(), new_c[1].detach())
             self._pending = {
                 "obs": obs_mat.reshape(flat, -1),
                 "msg_in": incoming.reshape(flat, cfg.message_dim),
@@ -334,14 +323,89 @@ class BatchedPolicyGroup:
                 "critic_feat": feats_flat,
             }
         return [
-            {
-                agent_id: int(actions_flat[b * M + i])
-                for i, agent_id in enumerate(self.agent_ids)
-            }
-            if live[b]
-            else None
-            for b in range(B)
+            dict(zip(self.agent_ids, row)) if live[b] else None
+            for b, row in enumerate(actions_flat.reshape(B, M).tolist())
         ]
+
+    def _route(self, incoming: np.ndarray, live: list[bool]) -> None:
+        """Fill ``incoming`` (``(B, M, D)``) with each live agent's
+        message from its partner's board; drained replicas stay zero.
+
+        With the batched extractor's congestion matrix, partners are
+        picked for every replica at once and read with one gather;
+        replicas without a faulty channel need nothing more, because
+        their resilient reader is a pass-through whose state is never
+        read.  Replicas with a channel run the per-agent deliver/receive
+        loop on the selected partners.  Without the extractor (fault-
+        injecting detectors, whose every read draws RNG) the per-agent
+        :func:`select_partner` loop is the reference.
+        """
+        extractor = getattr(self.group, "extractor", None)
+        if extractor is None:
+            for b in range(self.B):
+                if live[b]:  # drained replica: no detector reads
+                    self._route_reference(b, incoming[b])
+            return
+        live_rows = np.flatnonzero(live)
+        partners = select_partner_rows(
+            self._partner_table,
+            self.master.config.partner_strategy,
+            extractor.congestion,
+            live_rows,
+            rng=self.master._rng,
+        )
+        incoming[live_rows] = self._messages[
+            live_rows[:, None], partners[live_rows]
+        ]
+        for b in live_rows:
+            if self._channels[b] is not None:
+                self._route_channel(b, incoming[b], partners[b])
+
+    def _route_channel(
+        self, b: int, incoming_b: np.ndarray, partners_b: np.ndarray
+    ) -> None:
+        """Per-agent lossy delivery on replica ``b``'s selected partners."""
+        cfg = self.master.config
+        board = self._boards[b]
+        channel = self._channels[b]
+        reader = self._readers[b]
+        partner_messages = board.gather(partners_b)
+        for i, agent_id in enumerate(self.agent_ids):
+            message = channel.deliver(agent_id, partner_messages[i])
+            if cfg.degrade_on_loss:
+                message = reader.receive(agent_id, message, board.read(agent_id))
+            elif message is None:
+                message = np.zeros(cfg.message_dim)
+            incoming_b[i] = message
+
+    def _route_reference(self, b: int, incoming_b: np.ndarray) -> None:
+        """Per-agent partner selection and delivery (the oracle).
+
+        Selection and delivery interleave per agent: with faulty
+        detectors and a faulty channel, both draw from the env's one
+        fault-schedule RNG, so the read order is part of the result.
+        """
+        master = self.master
+        cfg = master.config
+        board = self._boards[b]
+        reader = self._readers[b]
+        channel = self._channels[b]
+        env = self.envs[b]
+        for i, agent_id in enumerate(self.agent_ids):
+            partner = select_partner(
+                env,
+                agent_id,
+                strategy=cfg.partner_strategy,
+                rng=master._rng,
+            )
+            message = board.read(partner)
+            if channel is not None:
+                message = channel.deliver(agent_id, message)
+            if cfg.degrade_on_loss:
+                message = reader.receive(agent_id, message, board.read(agent_id))
+            elif message is None:
+                message = np.zeros(cfg.message_dim)
+            incoming_b[i] = message
 
     def _sample_flat(
         self, probs: np.ndarray, training: bool

@@ -13,6 +13,19 @@ Two pieces of PairUpLight's communication protocol live here:
   the *most congested upstream* neighbouring intersection — the one whose
   congestion will arrive next — falling back to itself when no upstream
   neighbour is congested.
+
+:func:`select_partner` is the per-agent reference.  The batched
+lockstep path picks every partner of B replicas at once instead: a
+static ``(M, K)`` candidate table (:func:`candidate_table`, rows
+``[self, upstream...]`` padded with self) indexes a ``(B, M)``
+congestion matrix, and :func:`select_partner_rows` takes the first
+maximum per row — the scalar scan's result, ties included.
+
+Each :class:`MessageBoard` stores its messages as one ``(M, D)`` array
+(row ``i`` for agent ``i``), optionally a slice of a caller-owned
+``(B, M, D)`` block.  Per-agent ``read``/``post`` keep their semantics;
+``gather``/``post_rows`` move whole rows, so a tick's routing is one
+gather and its posting one assignment.
 """
 
 from __future__ import annotations
@@ -114,16 +127,93 @@ def select_partner(
     return best
 
 
-class MessageBoard:
-    """Per-step mailbox holding each agent's latest outgoing message."""
+def candidate_table(env: TrafficSignalEnv, agent_ids: list[str]) -> np.ndarray:
+    """``(M, K)`` agent rows ``[self, upstream...]``, padded with self.
 
-    def __init__(self, agent_ids: list[str], message_dim: int) -> None:
+    Row ``i`` lists the partner candidates of ``agent_ids[i]`` in
+    :func:`select_partner`'s scan order; ``K`` is one plus the largest
+    upstream count.  Padding with self never changes a first-maximum
+    pick, because self is already scanned first.
+    """
+    row = {agent_id: i for i, agent_id in enumerate(agent_ids)}
+    upstream = [
+        [row[u] for u in env.upstream_neighbours(agent_id)] for agent_id in agent_ids
+    ]
+    width = 1 + max((len(u) for u in upstream), default=0)
+    table = np.empty((len(agent_ids), width), dtype=np.intp)
+    for i, ups in enumerate(upstream):
+        table[i] = [i, *ups] + [i] * (width - 1 - len(ups))
+    return table
+
+
+def select_partner_rows(
+    table: np.ndarray,
+    strategy: str,
+    congestion: np.ndarray,
+    live_rows: np.ndarray,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """:func:`select_partner` for every agent of ``B`` replicas at once.
+
+    ``table`` comes from :func:`candidate_table`; ``congestion`` is the
+    ``(B, M)`` score matrix in agent order.  Returns ``(B, M)`` partner
+    rows.  ``"upstream"`` takes ``argmax`` over the candidates, which
+    picks the first maximum exactly as the scalar strict-``>`` scan
+    with self first.  ``"random"`` draws ``rng.integers`` per agent
+    with upstream neighbours, for the replicas in ``live_rows`` only, in
+    ``(b, i)`` order — the scalar call sequence, so the stream is
+    unchanged.
+    """
+    batch, num_agents = congestion.shape
+    agents = np.arange(num_agents)
+    if strategy == "upstream":
+        picks = congestion[:, table].argmax(axis=2)
+        return table[agents, picks]
+    if strategy == "self":
+        return np.broadcast_to(agents, (batch, num_agents))
+    if strategy == "fixed":
+        first = table[:, min(1, table.shape[1] - 1)]
+        return np.broadcast_to(first, (batch, num_agents))
+    if strategy != "random":
+        raise ConfigError(f"unknown partner strategy {strategy!r}")
+    if rng is None:
+        raise ConfigError("random partner strategy requires an rng")
+    # Upstream neighbours are never the agent itself, so the non-self
+    # entries of a row are exactly its upstream candidates.
+    num_up = (table[:, 1:] != agents[:, None]).sum(axis=1).tolist()
+    rows = np.broadcast_to(agents, (batch, num_agents)).copy()
+    for b in live_rows:
+        for i, n in enumerate(num_up):
+            if n:
+                rows[b, i] = table[i, 1 + int(rng.integers(n))]
+    return rows
+
+
+class MessageBoard:
+    """Per-step mailbox holding each agent's latest outgoing message.
+
+    Backed by one ``(M, D)`` array, row ``i`` holding ``agent_ids[i]``'s
+    message.  ``messages`` may be passed in — a slice of a larger
+    ``(B, M, D)`` block — so a batched driver can read every replica's
+    board with one gather; the board only ever writes into it in place.
+    """
+
+    def __init__(
+        self,
+        agent_ids: list[str],
+        message_dim: int,
+        messages: np.ndarray | None = None,
+    ) -> None:
         if message_dim <= 0:
             raise ConfigError("message_dim must be positive")
         self.message_dim = message_dim
-        self._messages: dict[str, np.ndarray] = {
-            agent_id: np.zeros(message_dim) for agent_id in agent_ids
-        }
+        self._row = {agent_id: i for i, agent_id in enumerate(agent_ids)}
+        shape = (len(self._row), message_dim)
+        if messages is None:
+            messages = np.zeros(shape)
+        elif messages.shape != shape:
+            raise ConfigError(f"message storage shape {messages.shape} != {shape}")
+        self.messages = messages
 
     def post(self, agent_id: str, message: np.ndarray) -> None:
         message = np.asarray(message, dtype=np.float64)
@@ -131,14 +221,26 @@ class MessageBoard:
             raise ConfigError(
                 f"message shape {message.shape} != ({self.message_dim},)"
             )
-        self._messages[agent_id] = message
+        self.messages[self._row[agent_id]] = message
 
     def read(self, agent_id: str) -> np.ndarray:
-        return self._messages[agent_id].copy()
+        return self.messages[self._row[agent_id]].copy()
+
+    def post_rows(self, messages: np.ndarray) -> None:
+        """Post every agent's message at once, rows in agent order."""
+        messages = np.asarray(messages, dtype=np.float64)
+        if messages.shape != self.messages.shape:
+            raise ConfigError(
+                f"message shape {messages.shape} != {self.messages.shape}"
+            )
+        self.messages[...] = messages
+
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """Copies of the messages in board rows ``rows`` (agent order)."""
+        return self.messages[rows]
 
     def reset(self) -> None:
-        for agent_id in self._messages:
-            self._messages[agent_id] = np.zeros(self.message_dim)
+        self.messages.fill(0.0)
 
 
 class FaultyMessageChannel:

@@ -266,12 +266,15 @@ class TrafficSignalEnv:
     def _apply_actions(self, actions: dict[str, int]) -> None:
         """Validate and request this step's phase choices (no stepping)."""
         for node_id, action in actions.items():
-            if not self.action_spaces[node_id].contains(int(action)):
-                raise ConfigError(
-                    f"invalid action {action!r} for agent {node_id!r} "
-                    f"({self.action_spaces[node_id].n} phases)"
-                )
+            self._check_action(node_id, action)
             self.sim.set_phase(node_id, int(action))
+
+    def _check_action(self, node_id: str, action: int) -> None:
+        if not self.action_spaces[node_id].contains(int(action)):
+            raise ConfigError(
+                f"invalid action {action!r} for agent {node_id!r} "
+                f"({self.action_spaces[node_id].n} phases)"
+            )
 
     def _finish_step(self) -> StepResult:
         """Observe/reward/report after the simulator advanced ``delta_t``.

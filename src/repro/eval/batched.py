@@ -24,12 +24,17 @@ import numpy as np
 
 from repro.env.tsc_env import StepResult, TrafficSignalEnv
 from repro.errors import ConfigError
+from repro.perf.timers import TIMERS
 from repro.rl.runner import (
     EpisodeLog,
     EvaluationResult,
     TrainingHistory,
 )
 from repro.sim.soa import SoAEngine
+
+
+def _phase_counts(env: TrafficSignalEnv) -> dict[str, int]:
+    return {node_id: plan.num_phases for node_id, plan in env.phase_plans.items()}
 
 
 class LockstepEnvGroup:
@@ -60,7 +65,7 @@ class LockstepEnvGroup:
                     "lockstep envs must share delta_t/yellow_time/"
                     "saturation_rate/startup_lost_time"
                 )
-            if set(env.phase_plans) != set(envs[0].phase_plans):
+            if _phase_counts(env) != _phase_counts(envs[0]):
                 raise ConfigError("lockstep envs must share phase plans")
         self.envs = envs
         self.engine: SoAEngine | None = None
@@ -84,6 +89,9 @@ class LockstepEnvGroup:
             yellow_time=head.config.yellow_time,
             saturation_rate=head.config.saturation_rate,
             startup_lost_time=head.config.startup_lost_time,
+        )
+        self._num_phases = np.asarray(
+            [plan.num_phases for plan in self.engine._plans], dtype=np.int64
         )
         observations = []
         for b, (env, seed) in enumerate(zip(self.envs, seeds)):
@@ -109,18 +117,42 @@ class LockstepEnvGroup:
         """
         if self.engine is None:
             raise ConfigError("call reset_all() before step_all()")
-        for env, acts in zip(self.envs, actions):
-            if acts is not None:
-                env._apply_actions(acts)
-        self.engine.step(self.envs[0].config.delta_t)
-        if self.extractor is not None:
-            return self.extractor.finish_all(
-                [acts is not None for acts in actions]
-            )
-        return [
-            env._finish_step() if acts is not None else None
-            for env, acts in zip(self.envs, actions)
-        ]
+        with TIMERS.section("env_step/apply"):
+            self._request_all(actions)
+        with TIMERS.section("env_step/engine"):
+            self.engine.step(self.envs[0].config.delta_t)
+        with TIMERS.section("env_step/extract"):
+            if self.extractor is not None:
+                return self.extractor.finish_all(
+                    [acts is not None for acts in actions]
+                )
+            return [
+                env._finish_step() if acts is not None else None
+                for env, acts in zip(self.envs, actions)
+            ]
+
+    def _request_all(self, actions: list[dict[str, int] | None]) -> None:
+        """Every env's ``_apply_actions`` as one ``(B, NS)`` request.
+
+        All entries are validated before any is applied; the first
+        invalid one, in env then dict order, raises the
+        ``ConfigError`` of ``TrafficSignalEnv._apply_actions``.
+        """
+        engine = self.engine
+        sig_of = engine._sig_of
+        req = np.zeros((engine.batch, engine.NS), dtype=np.int64)
+        where = np.zeros((engine.batch, engine.NS), dtype=bool)
+        for b, acts in enumerate(actions):
+            if acts is None:
+                continue
+            cols = [sig_of[node_id] for node_id in acts]
+            req[b, cols] = list(map(int, acts.values()))
+            where[b, cols] = True
+        if (where & ((req < 0) | (req >= self._num_phases))).any():
+            for env, acts in zip(self.envs, actions):
+                for node_id, action in (acts or {}).items():
+                    env._check_action(node_id, action)
+        engine.request_phases(req, where=where)
 
 
 def train_lockstep(
@@ -172,14 +204,16 @@ def train_lockstep(
         total_rewards = [0.0] * len(envs)
         done = False
         while not done:
-            if policy is not None:
-                actions = policy.act_all(observations, True)
-            else:
-                actions = [
-                    agent.act(obs, env, True)
-                    for agent, env, obs in zip(agents, envs, observations)
-                ]
-            results = group.step_all(actions)
+            with TIMERS.section("forward"):
+                if policy is not None:
+                    actions = policy.act_all(observations, True)
+                else:
+                    actions = [
+                        agent.act(obs, env, True)
+                        for agent, env, obs in zip(agents, envs, observations)
+                    ]
+            with TIMERS.section("env_step"):
+                results = group.step_all(actions)
             if policy is not None:
                 policy.observe_all(results)
             for b, result in enumerate(results):
@@ -191,13 +225,14 @@ def train_lockstep(
             # drain=False: every env shares the horizon, so dones agree.
             done = results[0].done
         duration = time.perf_counter() - started
-        if policy is not None:
-            stats_list = policy.end_episode_all(True)
-        else:
-            stats_list = [
-                agent.end_episode(env, training=True)
-                for agent, env in zip(agents, envs)
-            ]
+        with TIMERS.section("update"):
+            if policy is not None:
+                stats_list = policy.end_episode_all(True)
+            else:
+                stats_list = [
+                    agent.end_episode(env, training=True)
+                    for agent, env in zip(agents, envs)
+                ]
         for b in range(len(envs)):
             histories[b].episodes.append(
                 EpisodeLog(
@@ -256,16 +291,18 @@ def evaluate_lockstep(
         infos: list[dict] = [{} for _ in range(B)]
         live = [True] * B
         while any(live):
-            if policy is not None:
-                actions = policy.act_all(observations, False, live=live)
-            else:
-                actions = [
-                    agents[b].act(observations[b], envs[b], False)
-                    if live[b]
-                    else None
-                    for b in range(B)
-                ]
-            results = group.step_all(actions)
+            with TIMERS.section("forward"):
+                if policy is not None:
+                    actions = policy.act_all(observations, False, live=live)
+                else:
+                    actions = [
+                        agents[b].act(observations[b], envs[b], False)
+                        if live[b]
+                        else None
+                        for b in range(B)
+                    ]
+            with TIMERS.section("env_step"):
+                results = group.step_all(actions)
             for b in range(B):
                 result = results[b]
                 if result is None:

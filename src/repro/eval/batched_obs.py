@@ -3,22 +3,29 @@
 ``LockstepEnvGroup.step_all`` used to finish every member env with the
 per-env ``TrafficSignalEnv._finish_step`` loop: each replica walked the
 whole network in Python (detector bulk pass, observation build, Eq. 6
-rewards, network-average wait) through its ``SoAReplicaView``.  Profiling
-a B=8 training rollout put ~75% of wall-clock in exactly that loop — the
-batched engine step itself was ~5%.
+rewards, network-average wait) through its ``SoAReplicaView``.
 
 This module replaces the loop with one vectorized pass over the SoA
-engine's flat arrays for all B replicas at once.  The bit-exactness
-strategy piggybacks on the detector bulk cache: ``DetectorSuite``
+engine's flat arrays for all B replicas at once.  Where a greedy B=8
+rollout spends its time with it in place — a traced benchmark run,
+``python3 perfbench/run.py --workload rollout_6x6_shared_b8 --seed 2
+--seconds 16 --trace 1`` on a 2-vCPU host, self seconds over 1620
+lockstep ticks: policy acting (``BatchedPolicyGroup.act_all``) 3.82,
+this extractor (``finish_all``) 2.87, ``SoAEngine.step`` 1.05,
+``reset_all`` 0.74, ``step_all`` 0.35.  EXPERIMENTS.md records the run.
+
+The bit-exactness strategy piggybacks on the detector bulk cache: ``DetectorSuite``
 memoizes its per-tick bulk arrays (``_bulk_app`` … ``_bulk_ic``) keyed by
 ``sim.time``, and every observed quantity is a lookup into them.  The
 extractor computes those arrays for all replicas with the *same*
 element-for-element operations as ``DetectorSuite._bulk_compute`` (same
 index arrays, same ``np.add.at`` accumulation order per replica, same
 int/float conversions) and injects each replica's slice into its env's
-detector.  Every downstream consumer — observation builder, partner
-selection, critic pressures — then reads identical values through the
-unchanged per-env API.
+detector.  Every downstream consumer — observation builder, critic
+pressures, the per-agent partner-selection reference — then reads
+identical values through the unchanged per-env API.  The batched
+policy path reads the congestion scores as one ``(B, M)`` matrix
+instead: :attr:`BatchedStepExtractor.congestion`.
 
 Eligibility is conservative: any env with a subclassed detector suite
 (fault injection) or a non-uniform observation layout falls back to the
@@ -115,6 +122,17 @@ class BatchedStepExtractor:
         # Latest per-tick products, exposed for the batched policy path.
         self.pressures: np.ndarray | None = None  # (B, M, S)
         self.observations: np.ndarray | None = None  # (B, M, 2S)
+        # Partner-selection congestion scores in agent order: the
+        # ``_bulk_ic`` entry ``env.congestion_score`` would read.  Filled
+        # here from the reset-time bulk pass (tick 0), then per tick for
+        # every live replica by ``_bulk_replica``.
+        self._agent_node = np.asarray(
+            [det._node_index[a] for a in self.agent_ids], dtype=np.intp
+        )
+        self.congestion = np.empty((self.B, self.M))  # (B, M)
+        for b, env in enumerate(envs):
+            env.detectors._bulk_ready()
+            self.congestion[b] = env.detectors._bulk_ic[self._agent_node]
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -281,6 +299,7 @@ class BatchedStepExtractor:
         det._bulk_ip = ip
         det._bulk_ic = ic
         det._bulk_time = now
+        self.congestion[b] = ic[self._agent_node]
         return lp
 
     # ------------------------------------------------------------------

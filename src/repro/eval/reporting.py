@@ -34,7 +34,15 @@ def _resample(data: np.ndarray, width: int) -> np.ndarray:
         finite = window[np.isfinite(window)]
         # A bucket with any finite sample averages those; an entirely
         # non-finite bucket stays NaN and renders as a gap.
-        pooled[index] = finite.mean() if finite.size else np.nan
+        if not finite.size:
+            pooled[index] = np.nan
+            continue
+        with np.errstate(over="ignore"):
+            mean = finite.mean()
+        if np.isinf(mean):
+            # The sum of near-max floats overflowed; scale first.
+            mean = (finite / finite.size).sum()
+        pooled[index] = mean
     return pooled
 
 

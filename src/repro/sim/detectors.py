@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulation
-from repro.sim.network import VEHICLE_SPACE_M, Movement
+from repro.sim.network import VEHICLE_SPACE_M, Movement, RoadNetwork
 
 #: Detector coverage used by the paper's 6x6 grid (metres from stop line).
 DEFAULT_COVERAGE_M = 50.0
@@ -44,132 +44,24 @@ class DetectorSuite:
             raise SimulationError("detector coverage must be positive")
         self.sim = sim
         self.coverage = coverage
-        network = sim.network
-        # Static per-network lookups, resolved once so the per-tick hot
-        # path does no list comprehensions or property formatting.
-        self._visible_slots = int(coverage // VEHICLE_SPACE_M)
-        self._link_geom: dict[str, tuple[float, float, tuple[str, ...], float]] = {}
-        for link_id, link in network.links.items():
-            spillback_threshold = max(0.0, link.length - coverage) / VEHICLE_SPACE_M
-            self._link_geom[link_id] = (
-                link.length,
-                link.speed_limit,
-                tuple(lane.lane_id for lane in link.lanes),
-                spillback_threshold,
-            )
-        self._out_num_lanes = {
-            link_id: link.num_lanes for link_id, link in network.links.items()
-        }
-        # Per movement: the (lane_id, sharer count) pairs contributing to
-        # its incoming count, in the reference iteration order, with
-        # zero-sharer lanes already filtered out.
-        self._movement_lanes: dict[object, tuple[tuple[str, int], ...]] = {}
-        for movement in network.movements.values():
-            pairs = []
-            for lane in network.lanes_for_movement(movement):
-                sharers = len(network.movements_for_lane(lane))
-                if sharers:
-                    pairs.append((lane.lane_id, sharers))
-            self._movement_lanes[movement.key] = tuple(pairs)
-        self._in_link_movement_count = {
-            link_id: len(network.movements_from(link_id))
-            for link_id in network.links
-        }
-        self._movements_from = {
-            link_id: tuple(network.movements_from(link_id))
-            for link_id in network.links
-        }
-        self._movements_at = {
-            node_id: tuple(network.movements_at(node_id))
-            for node_id in network.nodes
-        }
-        self._node_incoming = {
-            node_id: tuple(node.incoming) for node_id, node in network.nodes.items()
-        }
-        # Per-tick memo: valid only while ``sim.time`` is unchanged.
-        self._cache_enabled = True
-        self._cache_time = -1
-        self._cache: dict[object, float | int] = {}
         # Bulk mode computes every link/movement/node quantity of a tick
         # in one vectorized pass.  It replicates the raw computations
         # element-for-element (including float accumulation order), but
         # it bypasses the overridable ``observed_*`` methods — so it is
         # restricted to the exact base class.
         self._bulk_enabled = type(self) is DetectorSuite
+        # Static per-network lookups (and, in bulk mode, the bulk index
+        # arrays), resolved once per network so the per-tick hot path
+        # does no list comprehensions or property formatting.  They are
+        # read-only and shared by every suite over the same network.
+        vars(self).update(
+            network_index(sim.network, coverage, bulk=self._bulk_enabled)
+        )
+        # Per-tick memo: valid only while ``sim.time`` is unchanged.
+        self._cache_enabled = True
+        self._cache_time = -1
+        self._cache: dict[object, float | int] = {}
         self._bulk_time = -1
-        if self._bulk_enabled:
-            self._build_bulk_index()
-
-    def _build_bulk_index(self) -> None:
-        """Static index arrays mapping the scatter-add aggregations back
-        to the reference iteration order of the per-call raw methods."""
-        network = self.sim.network
-        self._link_order = tuple(self._link_geom)
-        self._link_index = {l: i for i, l in enumerate(self._link_order)}
-        lane_order: list[str] = []
-        for link_id in self._link_order:
-            lane_order.extend(self._link_geom[link_id][2])
-        self._lane_order = tuple(lane_order)
-        lane_index = {l: i for i, l in enumerate(lane_order)}
-        self._node_order = tuple(network.nodes)
-        self._node_index = {n: i for i, n in enumerate(self._node_order)}
-        movements = list(network.movements.values())
-        self._mv_index = {m.key: i for i, m in enumerate(movements)}
-
-        # queued-per-link: lanes grouped per link, in link lane order.
-        self._onl_link = np.repeat(
-            np.arange(len(self._link_order)),
-            [len(self._link_geom[l][2]) for l in self._link_order],
-        )
-        # movement incoming: (movement, lane, sharers) triples in the
-        # _movement_lanes order, lanes-before-approaching per movement.
-        in_mv, in_lane, in_sharers = [], [], []
-        for mv_i, movement in enumerate(movements):
-            for lane_id, sharers in self._movement_lanes[movement.key]:
-                in_mv.append(mv_i)
-                in_lane.append(lane_index[lane_id])
-                in_sharers.append(float(sharers))
-        self._in_mv = np.asarray(in_mv, dtype=np.intp)
-        self._in_lane = np.asarray(in_lane, dtype=np.intp)
-        self._in_sharers = np.asarray(in_sharers)
-        self._mv_in_link = np.asarray(
-            [self._link_index[m.in_link] for m in movements], dtype=np.intp
-        )
-        in_counts = np.asarray(
-            [float(self._in_link_movement_count[m.in_link]) for m in movements]
-        )
-        # The raw method skips the approaching term when the in-link has
-        # no movements; avoid 0/0 while contributing exactly nothing.
-        self._mv_in_scale = np.where(in_counts > 0, 1.0, 0.0)
-        self._mv_in_count = np.where(in_counts > 0, in_counts, 1.0)
-        self._mv_out_link = np.asarray(
-            [self._link_index[m.out_link] for m in movements], dtype=np.intp
-        )
-        self._mv_out_lanes = np.asarray(
-            [float(self._out_num_lanes[m.out_link]) for m in movements]
-        )
-        # link pressure / intersection pressure groupings, in the
-        # _movements_from / _movements_at iteration order.
-        lp_link, lp_mv = [], []
-        for link_i, link_id in enumerate(self._link_order):
-            for m in self._movements_from[link_id]:
-                lp_link.append(link_i)
-                lp_mv.append(self._mv_index[m.key])
-        self._lp_link = np.asarray(lp_link, dtype=np.intp)
-        self._lp_mv = np.asarray(lp_mv, dtype=np.intp)
-        ip_node, ip_mv = [], []
-        ic_node, ic_link = [], []
-        for node_i, node_id in enumerate(self._node_order):
-            for m in self._movements_at[node_id]:
-                ip_node.append(node_i)
-                ip_mv.append(self._mv_index[m.key])
-            for link_id in self._node_incoming[node_id]:
-                ic_node.append(node_i)
-                ic_link.append(self._link_index[link_id])
-        self._ip_node = np.asarray(ip_node, dtype=np.intp)
-        self._ip_mv = np.asarray(ip_mv, dtype=np.intp)
-        self._ic_node = np.asarray(ic_node, dtype=np.intp)
-        self._ic_link = np.asarray(ic_link, dtype=np.intp)
 
     def _bulk_compute(self) -> None:
         """One vectorized pass over the whole network for this tick."""
@@ -441,3 +333,155 @@ class DetectorSuite:
     def head_wait(self, link_id: str) -> int:
         """Waiting time of the head vehicle on a link (paper's wait term)."""
         return self.sim.link_head_wait(link_id)
+
+
+def network_index(
+    network: RoadNetwork, coverage: float, bulk: bool = False
+) -> dict[str, object]:
+    """The static lookups a :class:`DetectorSuite` needs, memoized on
+    ``network`` per coverage (``RoadNetwork.add_*`` clears the memo).
+
+    With ``bulk=True`` the bulk-mode index arrays are included.  The
+    memo holds only network-derived values, never a simulation, so a
+    finished episode's engine is not kept alive by it.
+    """
+    memo = network.detector_memo
+    lookups = memo.get(coverage)
+    if lookups is None:
+        lookups = memo[coverage] = _build_lookups(network, coverage)
+    if not bulk:
+        return lookups
+    key = (coverage, "bulk")
+    index = memo.get(key)
+    if index is None:
+        index = memo[key] = {**lookups, **_build_bulk_index(network, lookups)}
+    return index
+
+
+def _build_lookups(network: RoadNetwork, coverage: float) -> dict[str, object]:
+    link_geom: dict[str, tuple[float, float, tuple[str, ...], float]] = {}
+    for link_id, link in network.links.items():
+        spillback_threshold = max(0.0, link.length - coverage) / VEHICLE_SPACE_M
+        link_geom[link_id] = (
+            link.length,
+            link.speed_limit,
+            tuple(lane.lane_id for lane in link.lanes),
+            spillback_threshold,
+        )
+    # Per movement: the (lane_id, sharer count) pairs contributing to
+    # its incoming count, in the reference iteration order, with
+    # zero-sharer lanes already filtered out.
+    movement_lanes: dict[object, tuple[tuple[str, int], ...]] = {}
+    for movement in network.movements.values():
+        pairs = []
+        for lane in network.lanes_for_movement(movement):
+            sharers = len(network.movements_for_lane(lane))
+            if sharers:
+                pairs.append((lane.lane_id, sharers))
+        movement_lanes[movement.key] = tuple(pairs)
+    return {
+        "_visible_slots": int(coverage // VEHICLE_SPACE_M),
+        "_link_geom": link_geom,
+        "_out_num_lanes": {
+            link_id: link.num_lanes for link_id, link in network.links.items()
+        },
+        "_movement_lanes": movement_lanes,
+        "_in_link_movement_count": {
+            link_id: len(network.movements_from(link_id))
+            for link_id in network.links
+        },
+        "_movements_from": {
+            link_id: tuple(network.movements_from(link_id))
+            for link_id in network.links
+        },
+        "_movements_at": {
+            node_id: tuple(network.movements_at(node_id))
+            for node_id in network.nodes
+        },
+        "_node_incoming": {
+            node_id: tuple(node.incoming) for node_id, node in network.nodes.items()
+        },
+    }
+
+
+def _build_bulk_index(
+    network: RoadNetwork, lookups: dict[str, object]
+) -> dict[str, object]:
+    """Static index arrays mapping the scatter-add aggregations back
+    to the reference iteration order of the per-call raw methods."""
+    link_geom = lookups["_link_geom"]
+    movement_lanes = lookups["_movement_lanes"]
+    in_link_movement_count = lookups["_in_link_movement_count"]
+    out_num_lanes = lookups["_out_num_lanes"]
+    link_order = tuple(link_geom)
+    link_index = {l: i for i, l in enumerate(link_order)}
+    lane_order: list[str] = []
+    for link_id in link_order:
+        lane_order.extend(link_geom[link_id][2])
+    lane_index = {l: i for i, l in enumerate(lane_order)}
+    node_order = tuple(network.nodes)
+    movements = list(network.movements.values())
+    mv_index = {m.key: i for i, m in enumerate(movements)}
+
+    # movement incoming: (movement, lane, sharers) triples in the
+    # _movement_lanes order, lanes-before-approaching per movement.
+    in_mv, in_lane, in_sharers = [], [], []
+    for mv_i, movement in enumerate(movements):
+        for lane_id, sharers in movement_lanes[movement.key]:
+            in_mv.append(mv_i)
+            in_lane.append(lane_index[lane_id])
+            in_sharers.append(float(sharers))
+    in_counts = np.asarray(
+        [float(in_link_movement_count[m.in_link]) for m in movements]
+    )
+    # link pressure / intersection pressure groupings, in the
+    # _movements_from / _movements_at iteration order.
+    lp_link, lp_mv = [], []
+    for link_i, link_id in enumerate(link_order):
+        for m in lookups["_movements_from"][link_id]:
+            lp_link.append(link_i)
+            lp_mv.append(mv_index[m.key])
+    ip_node, ip_mv = [], []
+    ic_node, ic_link = [], []
+    for node_i, node_id in enumerate(node_order):
+        for m in lookups["_movements_at"][node_id]:
+            ip_node.append(node_i)
+            ip_mv.append(mv_index[m.key])
+        for link_id in lookups["_node_incoming"][node_id]:
+            ic_node.append(node_i)
+            ic_link.append(link_index[link_id])
+
+    def intp(values) -> np.ndarray:
+        return np.asarray(values, dtype=np.intp)
+
+    return {
+        "_link_order": link_order,
+        "_link_index": link_index,
+        "_lane_order": tuple(lane_order),
+        "_node_order": node_order,
+        "_node_index": {n: i for i, n in enumerate(node_order)},
+        "_mv_index": mv_index,
+        # queued-per-link: lanes grouped per link, in link lane order.
+        "_onl_link": np.repeat(
+            np.arange(len(link_order)),
+            [len(link_geom[l][2]) for l in link_order],
+        ),
+        "_in_mv": intp(in_mv),
+        "_in_lane": intp(in_lane),
+        "_in_sharers": np.asarray(in_sharers),
+        "_mv_in_link": intp([link_index[m.in_link] for m in movements]),
+        # The raw method skips the approaching term when the in-link has
+        # no movements; avoid 0/0 while contributing exactly nothing.
+        "_mv_in_scale": np.where(in_counts > 0, 1.0, 0.0),
+        "_mv_in_count": np.where(in_counts > 0, in_counts, 1.0),
+        "_mv_out_link": intp([link_index[m.out_link] for m in movements]),
+        "_mv_out_lanes": np.asarray(
+            [float(out_num_lanes[m.out_link]) for m in movements]
+        ),
+        "_lp_link": intp(lp_link),
+        "_lp_mv": intp(lp_mv),
+        "_ip_node": intp(ip_node),
+        "_ip_mv": intp(ip_mv),
+        "_ic_node": intp(ic_node),
+        "_ic_link": intp(ic_link),
+    }

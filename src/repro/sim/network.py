@@ -145,6 +145,10 @@ class RoadNetwork:
         self._movements_by_in_link: dict[str, list[Movement]] = {}
         self._movements_by_node: dict[str, list[Movement]] = {}
         self._heading_cache: dict[str, tuple[float, float]] = {}
+        #: Static detector lookups keyed by coverage, owned by
+        #: :mod:`repro.sim.detectors`.  Kept on the network so they live
+        #: exactly as long as it does; every ``add_*`` clears them.
+        self.detector_memo: dict[object, dict[str, object]] = {}
         self._validated = False
 
     # ------------------------------------------------------------------
@@ -155,7 +159,7 @@ class RoadNetwork:
             raise NetworkError(f"duplicate node id {node_id!r}")
         node = Node(node_id, float(x), float(y), signalized)
         self.nodes[node_id] = node
-        self._validated = False
+        self._changed()
         return node
 
     def add_link(
@@ -194,7 +198,7 @@ class RoadNetwork:
         self.links[link_id] = link
         self.nodes[from_node].outgoing.append(link_id)
         self.nodes[to_node].incoming.append(link_id)
-        self._validated = False
+        self._changed()
         return link
 
     def add_movement(
@@ -219,8 +223,12 @@ class RoadNetwork:
         self.movements[movement.key] = movement
         self._movements_by_in_link.setdefault(in_link, []).append(movement)
         self._movements_by_node.setdefault(a.to_node, []).append(movement)
-        self._validated = False
+        self._changed()
         return movement
+
+    def _changed(self) -> None:
+        self._validated = False
+        self.detector_memo.clear()
 
     # ------------------------------------------------------------------
     # Queries

@@ -609,16 +609,24 @@ class SoAEngine:
             else:
                 self._yel[b, s] = self.yellow_time
 
-    def request_phases(self, req: np.ndarray) -> None:
+    def request_phases(
+        self, req: np.ndarray, where: np.ndarray | None = None
+    ) -> None:
         """Vectorized phase request for all replicas.
 
         ``req`` is ``(NS,)`` (same request for every replica — the
         fixed-time case) or ``(B, NS)``; semantics per cell match
-        :meth:`SignalState.request_phase`.  Phase indices are assumed
-        in range (callers validate against the plans).
+        :meth:`SignalState.request_phase`.  ``where`` (``(B, NS)`` bool)
+        restricts the request to the marked cells: unmarked cells are
+        left alone, as if no request were made (a cell in yellow would
+        otherwise have its pending phase overwritten).  Phase indices
+        of requested cells are assumed in range (callers validate
+        against the plans).
         """
         cur, pend, yel = self._cur, self._pend, self._yel
         apply = (req != cur) | (yel != 0)
+        if where is not None:
+            apply &= where
         if not apply.any():
             return  # every cell is a same-phase-no-yellow no-op
         self._lane_cols = None

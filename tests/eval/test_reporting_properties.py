@@ -110,6 +110,12 @@ class TestAsciiChartProperties:
         chart = ascii_chart({"s": values}, height=5, width=40)
         assert "o=s" in chart
 
+    def test_near_max_floats_pool_to_a_finite_bucket(self):
+        """Averaging huge finite samples into one bucket must not
+        overflow into a chart with "no finite values"."""
+        chart = ascii_chart({"a": [1.7e308, 1.7e308, 1.0]}, height=3, width=1)
+        assert "o" in chart.splitlines()[0]
+
     def test_constant_chart_single_row(self):
         chart = ascii_chart({"a": [7.0, 7.0, 7.0]}, height=4, width=10)
         rows = chart.splitlines()[:-1]  # drop the legend
