@@ -20,7 +20,11 @@
 #      rollout that must be correct (the traced run reproduces the
 #      untraced waits and counts) with zero per-env extraction
 #      fallback steps, so the array routing path stays engaged,
-#   8. the coverage floors (stdlib trace; no coverage package):
+#   8. the serve stage: one short traced 6x6 serving run under
+#      controller deaths and message delay that must be correct with
+#      zero failed decisions and zero deadline misses, so the serial
+#      array path (B=1 extractor, array routing) stays healthy,
+#   9. the coverage floors (stdlib trace; no coverage package):
 #      src/repro/obs and src/repro/scenarios.
 #
 # Usage, from the repository root:
@@ -57,6 +61,17 @@ fallback = result["metrics"]["eval.batched_obs.fallback_steps"]["value"]
 print("correct=%s fallback_steps=%s" % (result["correct"], fallback))
 if not result["correct"] or fallback != 0:
     sys.exit("lockstep routing stage failed")
+'
+
+echo "== serve stage (traced 6x6 serving under controller + message faults) =="
+python3 perfbench/run.py --workload serve_6x6_faults --seed 1 --seconds 2 --trace 1 \
+    | tail -n 1 | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+misses = result["metrics"]["serve.deadline_misses"]["value"]
+print("correct=%s failed=%s deadline_misses=%s" % (result["correct"], result["failed"], misses))
+if not result["correct"] or result["failed"] != 0 or misses != 0:
+    sys.exit("serve stage failed")
 '
 
 echo "== telemetry coverage floor (src/repro/obs) =="

@@ -38,8 +38,8 @@ from repro.agents.pairuplight.messaging import (
     FaultyMessageChannel,
     MessageBoard,
     MessageRegularizer,
+    MessageRouter,
     ResilientMessageReader,
-    select_partner,
 )
 from repro.env.tsc_env import StepResult, TrafficSignalEnv
 from repro.errors import ConfigError
@@ -197,6 +197,13 @@ class PairUpLightSystem(AgentSystem):
             self.agent_ids, cfg.message_dim, cfg.message_decay, cfg.max_staleness
         )
         self._channel: FaultyMessageChannel | None = None
+        self.router = MessageRouter(
+            env,
+            self.agent_ids,
+            cfg.partner_strategy,
+            cfg.message_dim,
+            cfg.degrade_on_loss,
+        )
         self.buffer = RolloutBuffer()
         # Recurrent state: batched (h, c) arrays in shared mode, per-agent
         # dictionaries otherwise.
@@ -242,35 +249,56 @@ class PairUpLightSystem(AgentSystem):
     def _read_incoming(self, env: TrafficSignalEnv) -> np.ndarray:
         """Gather each agent's incoming message (previous-step postings).
 
-        When the environment injects communication faults the read goes
-        through the lossy channel; a lost message is then resolved by the
+        The B=1 case of the batched group's routing: when the env's step
+        extractor has this tick's congestion row, partners are picked on
+        arrays and read with one gather; otherwise (fault-injecting
+        detectors) the per-agent reference selects them.  When the
+        environment injects communication faults the read goes through
+        the lossy channel; a lost message is then resolved by the
         resilient reader (staleness-decayed reuse, then self-pairing) or
         — for the no-fallback ablation — read as zeros.
         """
         cfg = self.config
         incoming = np.zeros((self.num_agents, cfg.message_dim))
-        if cfg.communicate:
-            for index, agent_id in enumerate(self.agent_ids):
-                partner = select_partner(
-                    env, agent_id, strategy=cfg.partner_strategy, rng=self._rng
-                )
-                message: np.ndarray | None = self.board.read(partner)
-                if self._channel is not None:
-                    message = self._channel.deliver(agent_id, message)
-                if cfg.degrade_on_loss:
-                    message = self.resilient_reader.receive(
-                        agent_id, message, self.board.read(agent_id)
-                    )
-                elif message is None:
-                    message = np.zeros(cfg.message_dim)
-                incoming[index] = message
+        if not cfg.communicate:
+            return incoming
+        congestion = env.congestion_rows()
+        if congestion is None:
+            self.router.route_reference(
+                env,
+                incoming,
+                self.board,
+                self._channel,
+                self.resilient_reader,
+                self._rng,
+            )
+        else:
+            self.router.route(
+                incoming[None],
+                self.board.messages[None],
+                congestion,
+                _ROW0,
+                self._rng,
+                [self._channel],
+                [self.resilient_reader],
+            )
         return incoming
 
     def _sample_actions(
-        self, probs_rows: list[np.ndarray], training: bool
+        self, probs_rows: np.ndarray | list[np.ndarray], training: bool
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Epsilon-greedy / categorical sampling (Algorithm 1 lines 13-14)."""
+        """Epsilon-greedy / categorical sampling (Algorithm 1 lines 13-14).
+
+        Greedy selection over an ``(M, A)`` matrix is one ``argmax``;
+        sampling keeps its per-agent RNG draw order.
+        """
         cfg = self.config
+        if not training and isinstance(probs_rows, np.ndarray):
+            actions = probs_rows.argmax(axis=1)
+            picked = probs_rows[np.arange(len(actions)), actions].tolist()
+            # math.log per row: the per-agent path's exact values.
+            logprobs = np.asarray([math.log(max(p, 1e-12)) for p in picked])
+            return actions, logprobs
         actions = np.zeros(len(probs_rows), dtype=np.int64)
         logprobs = np.zeros(len(probs_rows))
         for index, probs in enumerate(probs_rows):
@@ -341,8 +369,11 @@ class PairUpLightSystem(AgentSystem):
                 logits = logits_rows
                 msg_means = np.stack(msg_rows)
 
-        probs_rows = [_softmax_1d(np.asarray(row)) for row in logits]
-        actions, action_logprobs = self._sample_actions(probs_rows, training)
+        if isinstance(logits, np.ndarray):
+            probs = softmax_rows(logits)
+        else:  # per-agent networks: rows may differ in width
+            probs = [_softmax_1d(np.asarray(row)) for row in logits]
+        actions, action_logprobs = self._sample_actions(probs, training)
         m_hat, raw_msg, msg_logprobs = self.regularizer.transmit(msg_means, training)
         logprobs = action_logprobs + (msg_logprobs if cfg.communicate else 0.0)
 
@@ -626,6 +657,17 @@ def _softmax_1d(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max()
     exp = np.exp(shifted)
     return exp / exp.sum()
+
+
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`_softmax_1d` of an ``(N, A)`` matrix, bit for bit."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+#: The live rows of a serial system routing as a one-replica batch.
+_ROW0 = np.zeros(1, dtype=np.intp)
 
 
 def _pad(vector: np.ndarray, width: int) -> np.ndarray:

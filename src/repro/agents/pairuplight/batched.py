@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.agents.pairuplight.agent import PairUpLightSystem, _pad, _softmax_1d
-from repro.agents.pairuplight.messaging import (
+from repro.agents.pairuplight.agent import PairUpLightSystem, _pad, softmax_rows
+from repro.agents.pairuplight.messaging import (  # noqa: F401 (select_partner:
+    # re-exported as the per-agent reference the array path is pinned to)
     FaultyMessageChannel,
     MessageBoard,
     ResilientMessageReader,
-    candidate_table,
     select_partner,
-    select_partner_rows,
 )
 from repro.env.tsc_env import StepResult, TrafficSignalEnv
 from repro.errors import ConfigError
@@ -89,7 +88,6 @@ class BatchedPolicyGroup:
                 MessageBoard(self.agent_ids, head.config.message_dim, messages)
                 for messages in self._messages
             ]
-            self._partner_table = candidate_table(self.envs[0], self.agent_ids)
             self._readers = [
                 ResilientMessageReader(
                     self.agent_ids,
@@ -301,9 +299,7 @@ class BatchedPolicyGroup:
                     self._critic_state = (new_c[0].detach(), new_c[1].detach())
 
         with TIMERS.section("act/sample"):
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            exp = np.exp(shifted)
-            probs = exp / exp.sum(axis=1, keepdims=True)
+            probs = softmax_rows(logits)
             actions_flat, action_logprobs = self._sample_flat(probs, training)
             m_hat, raw_msg, msg_logprobs = master.regularizer.transmit(
                 msg_means, training
@@ -331,81 +327,37 @@ class BatchedPolicyGroup:
         """Fill ``incoming`` (``(B, M, D)``) with each live agent's
         message from its partner's board; drained replicas stay zero.
 
-        With the batched extractor's congestion matrix, partners are
-        picked for every replica at once and read with one gather;
-        replicas without a faulty channel need nothing more, because
-        their resilient reader is a pass-through whose state is never
-        read.  Replicas with a channel run the per-agent deliver/receive
-        loop on the selected partners.  Without the extractor (fault-
-        injecting detectors, whose every read draws RNG) the per-agent
+        With the batched extractor's congestion matrix, the master's
+        :class:`MessageRouter` picks partners for every replica at once
+        and reads them with one gather (the serial system routes through
+        the same code at B=1).  Without the extractor (fault-injecting
+        detectors, whose every read draws RNG) the per-agent
         :func:`select_partner` loop is the reference.
         """
+        master = self.master
+        router = master.router
         extractor = getattr(self.group, "extractor", None)
         if extractor is None:
             for b in range(self.B):
                 if live[b]:  # drained replica: no detector reads
-                    self._route_reference(b, incoming[b])
+                    router.route_reference(
+                        self.envs[b],
+                        incoming[b],
+                        self._boards[b],
+                        self._channels[b],
+                        self._readers[b],
+                        master._rng,
+                    )
             return
-        live_rows = np.flatnonzero(live)
-        partners = select_partner_rows(
-            self._partner_table,
-            self.master.config.partner_strategy,
+        router.route(
+            incoming,
+            self._messages,
             extractor.congestion,
-            live_rows,
-            rng=self.master._rng,
+            np.flatnonzero(live),
+            master._rng,
+            self._channels,
+            self._readers,
         )
-        incoming[live_rows] = self._messages[
-            live_rows[:, None], partners[live_rows]
-        ]
-        for b in live_rows:
-            if self._channels[b] is not None:
-                self._route_channel(b, incoming[b], partners[b])
-
-    def _route_channel(
-        self, b: int, incoming_b: np.ndarray, partners_b: np.ndarray
-    ) -> None:
-        """Per-agent lossy delivery on replica ``b``'s selected partners."""
-        cfg = self.master.config
-        board = self._boards[b]
-        channel = self._channels[b]
-        reader = self._readers[b]
-        partner_messages = board.gather(partners_b)
-        for i, agent_id in enumerate(self.agent_ids):
-            message = channel.deliver(agent_id, partner_messages[i])
-            if cfg.degrade_on_loss:
-                message = reader.receive(agent_id, message, board.read(agent_id))
-            elif message is None:
-                message = np.zeros(cfg.message_dim)
-            incoming_b[i] = message
-
-    def _route_reference(self, b: int, incoming_b: np.ndarray) -> None:
-        """Per-agent partner selection and delivery (the oracle).
-
-        Selection and delivery interleave per agent: with faulty
-        detectors and a faulty channel, both draw from the env's one
-        fault-schedule RNG, so the read order is part of the result.
-        """
-        master = self.master
-        cfg = master.config
-        board = self._boards[b]
-        reader = self._readers[b]
-        channel = self._channels[b]
-        env = self.envs[b]
-        for i, agent_id in enumerate(self.agent_ids):
-            partner = select_partner(
-                env,
-                agent_id,
-                strategy=cfg.partner_strategy,
-                rng=master._rng,
-            )
-            message = board.read(partner)
-            if channel is not None:
-                message = channel.deliver(agent_id, message)
-            if cfg.degrade_on_loss:
-                message = reader.receive(agent_id, message, board.read(agent_id))
-            elif message is None:
-                message = np.zeros(cfg.message_dim)
-            incoming_b[i] = message
 
     def _sample_flat(
         self, probs: np.ndarray, training: bool

@@ -14,12 +14,15 @@ Two pieces of PairUpLight's communication protocol live here:
   congestion will arrive next — falling back to itself when no upstream
   neighbour is congested.
 
-:func:`select_partner` is the per-agent reference.  The batched
-lockstep path picks every partner of B replicas at once instead: a
-static ``(M, K)`` candidate table (:func:`candidate_table`, rows
+:func:`select_partner` is the per-agent reference.  The array path
+picks every partner of B replicas at once instead — the batched
+lockstep group with B replicas, the serial system at B=1: a static
+``(M, K)`` candidate table (:func:`candidate_table`, rows
 ``[self, upstream...]`` padded with self) indexes a ``(B, M)``
 congestion matrix, and :func:`select_partner_rows` takes the first
 maximum per row — the scalar scan's result, ties included.
+:class:`MessageRouter` holds both paths, so the serial and batched
+systems share one implementation of each.
 
 Each :class:`MessageBoard` stores its messages as one ``(M, D)`` array
 (row ``i`` for agent ``i``), optionally a slice of a caller-owned
@@ -187,6 +190,98 @@ def select_partner_rows(
             if n:
                 rows[b, i] = table[i, 1 + int(rng.integers(n))]
     return rows
+
+
+class MessageRouter:
+    """Partner selection and message delivery, serial and batched alike.
+
+    One instance serves one agent-id layout and one strategy: the serial
+    system routes its single board as the ``B = 1`` case of the batched
+    group's ``B`` boards.  :meth:`route` is the array path; the per-agent
+    :meth:`route_reference` is the oracle, and the only path when
+    congestion scores must be read through the (possibly fault-injecting)
+    detectors one agent at a time.
+    """
+
+    def __init__(
+        self,
+        env: TrafficSignalEnv,
+        agent_ids: list[str],
+        strategy: str,
+        message_dim: int,
+        degrade_on_loss: bool,
+    ) -> None:
+        self.agent_ids = list(agent_ids)
+        self.table = candidate_table(env, self.agent_ids)
+        self.strategy = strategy
+        self.message_dim = message_dim
+        self.degrade_on_loss = degrade_on_loss
+
+    def route(
+        self,
+        incoming: np.ndarray,
+        messages: np.ndarray,
+        congestion: np.ndarray,
+        live_rows: np.ndarray,
+        rng: np.random.Generator,
+        channels: list,
+        readers: list,
+    ) -> None:
+        """Fill ``incoming[b]`` (``(B, M, D)``) for every ``b`` in
+        ``live_rows`` from the ``(B, M, D)`` boards ``messages``.
+
+        Partners come from the ``(B, M)`` ``congestion`` matrix and are
+        read with one gather.  A replica without a faulty channel needs
+        nothing more: its resilient reader is a pass-through whose state
+        is never read.  A replica with one (``channels[b]``) runs the
+        per-agent deliver/receive loop on the selected partners' messages.
+        """
+        partners = select_partner_rows(
+            self.table, self.strategy, congestion, live_rows, rng=rng
+        )
+        incoming[live_rows] = messages[live_rows[:, None], partners[live_rows]]
+        for b in live_rows:
+            channel = channels[b]
+            if channel is None:
+                continue
+            incoming_b, own = incoming[b], messages[b]
+            for i, agent_id in enumerate(self.agent_ids):
+                incoming_b[i] = self._receive(
+                    agent_id, channel.deliver(agent_id, incoming_b[i]), own[i], readers[b]
+                )
+
+    def route_reference(
+        self,
+        env: TrafficSignalEnv,
+        incoming_b: np.ndarray,
+        board: "MessageBoard",
+        channel: "FaultyMessageChannel | None",
+        reader: "ResilientMessageReader",
+        rng: np.random.Generator,
+    ) -> None:
+        """Per-agent :func:`select_partner` and delivery into ``incoming_b``.
+
+        Selection and delivery interleave per agent: with faulty
+        detectors and a faulty channel, both draw from the env's one
+        fault-schedule RNG, so the read order is part of the result.
+        """
+        for i, agent_id in enumerate(self.agent_ids):
+            partner = select_partner(env, agent_id, strategy=self.strategy, rng=rng)
+            message = board.read(partner)
+            if channel is not None:
+                message = channel.deliver(agent_id, message)
+            incoming_b[i] = self._receive(
+                agent_id, message, board.read(agent_id), reader
+            )
+
+    def _receive(self, agent_id, message, own_message, reader) -> np.ndarray:
+        """Resolve one (possibly lost) delivery: the resilient reader's
+        fallback, or zeros for the no-fallback ablation."""
+        if self.degrade_on_loss:
+            return reader.receive(agent_id, message, own_message)
+        if message is None:
+            return np.zeros(self.message_dim)
+        return message
 
 
 class MessageBoard:

@@ -26,6 +26,7 @@ from repro.errors import ConfigError
 from repro.env.observation import ObservationBuilder
 from repro.env.reward import DEFAULT_REWARD_SCALE, all_rewards
 from repro.env.spaces import BoxSpace, DiscreteSpace
+from repro.perf.timers import TIMERS
 from repro.sim.demand import DemandGenerator, Flow
 from repro.sim.detectors import DEFAULT_COVERAGE_M, DetectorSuite
 from repro.sim.engine import (
@@ -85,6 +86,10 @@ class EnvConfig:
             )
 
 
+#: ``live`` flags of a single env finishing its own step.
+_LIVE = [True]
+
+
 @dataclass
 class StepResult:
     """Outcome of one environment step (all keyed by agent/node id)."""
@@ -142,6 +147,11 @@ class TrafficSignalEnv:
         self.detectors: DetectorSuite | None = None
         self._pressure_cache_time = -1
         self._pressure_cache: dict[str, np.ndarray] = {}
+        #: B=1 step finisher over this env's own engine (see
+        #: :mod:`repro.eval.batched_obs`); ``None`` runs the per-agent
+        #: reference path (fault-injecting detectors, non-uniform slot
+        #: layouts, and lockstep members, whose group finishes them).
+        self._extractor = None
         self.fault_schedule: FaultSchedule | None = None
         if self.config.faults is not None and self.config.faults.active:
             from repro.faults.schedule import FaultSchedule as _FaultSchedule
@@ -201,16 +211,17 @@ class TrafficSignalEnv:
         if self.config.engine == "soa":
             from repro.sim.soa import SoAEngine
 
-            sim = SoAEngine(
+            engine = SoAEngine(
                 self.network,
                 [demand],
                 self.phase_plans,
                 yellow_time=self.config.yellow_time,
                 saturation_rate=self.config.saturation_rate,
                 startup_lost_time=self.config.startup_lost_time,
-            ).view(0)
+            )
+            sim = engine.view(0)
         else:
-            sim = Simulation(
+            sim = engine = Simulation(
                 self.network,
                 demand,
                 self.phase_plans,
@@ -218,7 +229,11 @@ class TrafficSignalEnv:
                 saturation_rate=self.config.saturation_rate,
                 startup_lost_time=self.config.startup_lost_time,
             )
-        return self._adopt_sim(sim, seed)
+        self._adopt_sim(sim, seed)
+        from repro.eval.batched_obs import BatchedStepExtractor
+
+        self._extractor = BatchedStepExtractor.maybe_build([self], engine)
+        return self._observe_all()
 
     def _fresh_demand(self, seed: int) -> DemandGenerator:
         """A fresh seeded generator over copies of this env's flows."""
@@ -229,12 +244,14 @@ class TrafficSignalEnv:
             stochastic=self.config.stochastic_demand,
         )
 
-    def _adopt_sim(self, sim, seed: int) -> dict[str, np.ndarray]:
+    def _adopt_sim(self, sim, seed: int) -> None:
         """Install ``sim`` (a Simulation or an SoA replica view) as this
-        episode's backend and return the initial observations.  Also the
-        entry point for :class:`repro.eval.batched.LockstepEnvGroup`,
-        which hands every env a replica view of one shared engine."""
+        episode's backend.  Also the entry point for
+        :class:`repro.eval.batched.LockstepEnvGroup`, which hands every
+        env a replica view of one shared engine and finishes the group's
+        steps itself."""
         self.sim = sim
+        self._extractor = None
         if self.config.incidents is not None:
             self.sim.incidents = self.config.incidents
         if self._telemetry is not None:
@@ -253,15 +270,17 @@ class TrafficSignalEnv:
             )
         else:
             self.detectors = DetectorSuite(self.sim, coverage=self.config.coverage)
-        return self._observe_all()
 
     def step(self, actions: dict[str, int]) -> StepResult:
         """Apply one phase decision per agent and advance ``delta_t`` s."""
         if self.sim is None:
             raise ConfigError("call reset() before step()")
-        self._apply_actions(actions)
-        self.sim.step(self.config.delta_t)
-        return self._finish_step()
+        with TIMERS.section("env_step/apply"):
+            self._apply_actions(actions)
+        with TIMERS.section("env_step/engine"):
+            self.sim.step(self.config.delta_t)
+        with TIMERS.section("env_step/extract"):
+            return self._finish_step()
 
     def _apply_actions(self, actions: dict[str, int]) -> None:
         """Validate and request this step's phase choices (no stepping)."""
@@ -280,7 +299,11 @@ class TrafficSignalEnv:
         """Observe/reward/report after the simulator advanced ``delta_t``.
 
         Split from :meth:`step` so ``LockstepEnvGroup`` can advance a
-        shared batched engine once and then finish every member env."""
+        shared batched engine once and then finish every member env.
+        With a B=1 extractor the whole step finishes in its vectorized
+        pass; the per-agent code below is the reference it is pinned to."""
+        if self._extractor is not None:
+            return self._extractor.finish(_LIVE)[0]
         observations = self._observe_all()
         rewards = all_rewards(self.sim, self.agent_ids, self.config.reward_scale)
         done = self._is_done()
@@ -333,6 +356,8 @@ class TrafficSignalEnv:
     # ------------------------------------------------------------------
     def _observe_all(self) -> dict[str, np.ndarray]:
         assert self.detectors is not None
+        if self._extractor is not None:
+            return self._extractor.observe()[0]
         return {
             node_id: self.obs_builder.build(self.detectors, node_id)
             for node_id in self.agent_ids
@@ -353,6 +378,15 @@ class TrafficSignalEnv:
             cached = self.obs_builder.link_pressures(self.detectors, node_id)
             self._pressure_cache[node_id] = cached
         return cached
+
+    def congestion_rows(self) -> np.ndarray | None:
+        """This tick's partner-selection congestion scores as a ``(1, M)``
+        row in agent order, or ``None`` when the env runs the per-agent
+        reference path (then :meth:`congestion_score` is the source)."""
+        extractor = self._extractor
+        if extractor is None or extractor.time != self.sim.time:
+            return None
+        return extractor.congestion
 
     def congestion_score(self, node_id: str) -> float:
         """Observed congestion at a node (partner-selection ranking)."""

@@ -93,10 +93,9 @@ class LockstepEnvGroup:
         self._num_phases = np.asarray(
             [plan.num_phases for plan in self.engine._plans], dtype=np.int64
         )
-        observations = []
         for b, (env, seed) in enumerate(zip(self.envs, seeds)):
             env._episode_count += 1
-            observations.append(env._adopt_sim(self.engine.view(b), seed))
+            env._adopt_sim(self.engine.view(b), seed)
         # Detector suites were rebuilt by _adopt_sim, so the extractor is
         # rebuilt too; ineligible configurations (fault-injecting
         # detectors, heterogeneous layouts) get None and fall back to the
@@ -104,7 +103,9 @@ class LockstepEnvGroup:
         from repro.eval.batched_obs import BatchedStepExtractor
 
         self.extractor = BatchedStepExtractor.maybe_build(self.envs, self.engine)
-        return observations
+        if self.extractor is not None:
+            return self.extractor.observe()
+        return [env._observe_all() for env in self.envs]
 
     def step_all(
         self, actions: list[dict[str, int] | None]

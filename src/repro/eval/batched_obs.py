@@ -1,145 +1,115 @@
-"""Vectorized cross-replica observation/reward extraction.
+"""Vectorized observation/reward extraction for B ≥ 1 envs of one engine.
 
-``LockstepEnvGroup.step_all`` used to finish every member env with the
-per-env ``TrafficSignalEnv._finish_step`` loop: each replica walked the
-whole network in Python (detector bulk pass, observation build, Eq. 6
-rewards, network-average wait) through its ``SoAReplicaView``.
+:class:`BatchedStepExtractor` finishes an env step — detector readings,
+Eq. 5 observations, Eq. 6 rewards, the network-average wait — for every
+env over one engine in a single vectorized pass, instead of each env
+walking the network per agent, per slot and per lane in Python.  It is
+engine-agnostic: each tick it takes four inputs from the engine's
+``detector_inputs()`` (per-lane queue lengths, per-lane head waits,
+per-link running-vehicle counts and the running vehicles' ``run_start``
+ticks) and hands them to :func:`repro.sim.detectors.bulk_readings`, the
+one implementation of the bulk detector math.  Two engines supply them:
 
-This module replaces the loop with one vectorized pass over the SoA
-engine's flat arrays for all B replicas at once.  Where a greedy B=8
-rollout spends its time with it in place — a traced benchmark run,
+* a batched :class:`repro.sim.soa.SoAEngine` for the B replicas of a
+  :class:`repro.eval.batched.LockstepEnvGroup` (``finish_all``), and
+* a single env's own engine at B=1 — the object :class:`Simulation` or a
+  one-replica SoA engine — for the serial ``TrafficSignalEnv.step`` and
+  its reset-time observations.
+
+The bit-exactness strategy piggybacks on the detector bulk cache:
+``DetectorSuite`` memoizes its per-tick bulk arrays (``_bulk_app`` …
+``_bulk_ic``) keyed by ``sim.time``, and every observed quantity is a
+lookup into them.  The extractor injects each env's row into its
+detector suite, so every downstream consumer — critic pressures, the
+max-pressure fallback, the per-agent partner-selection reference —
+reads identical values through the unchanged per-env API.  The array
+consumers read the per-tick products directly: :attr:`congestion`
+(``(B, M)`` partner-selection scores), :attr:`pressures` and
+:attr:`observations`.
+
+Eligibility is conservative (:meth:`BatchedStepExtractor.maybe_build`):
+an env with a subclassed detector suite (fault injection draws RNG on
+every read) or a non-uniform observation layout keeps the reference
+per-agent path (``TrafficSignalEnv._observe_all`` and ``_finish_step``'s
+reference branch), which remains the oracle for the equivalence tests.
+Attached telemetry does not disqualify: both paths record each step
+through ``TrafficSignalEnv._record_step``.
+
+Where a greedy B=8 rollout spends its time — a traced benchmark run,
 ``python3 perfbench/run.py --workload rollout_6x6_shared_b8 --seed 2
---seconds 16 --trace 1`` on a 2-vCPU host, self seconds over 1620
-lockstep ticks: policy acting (``BatchedPolicyGroup.act_all``) 3.82,
-this extractor (``finish_all``) 2.87, ``SoAEngine.step`` 1.05,
-``reset_all`` 0.74, ``step_all`` 0.35.  EXPERIMENTS.md records the run.
-
-The bit-exactness strategy piggybacks on the detector bulk cache: ``DetectorSuite``
-memoizes its per-tick bulk arrays (``_bulk_app`` … ``_bulk_ic``) keyed by
-``sim.time``, and every observed quantity is a lookup into them.  The
-extractor computes those arrays for all replicas with the *same*
-element-for-element operations as ``DetectorSuite._bulk_compute`` (same
-index arrays, same ``np.add.at`` accumulation order per replica, same
-int/float conversions) and injects each replica's slice into its env's
-detector.  Every downstream consumer — observation builder, critic
-pressures, the per-agent partner-selection reference — then reads
-identical values through the unchanged per-env API.  The batched
-policy path reads the congestion scores as one ``(B, M)`` matrix
-instead: :attr:`BatchedStepExtractor.congestion`.
-
-Eligibility is conservative: any env with a subclassed detector suite
-(fault injection) or a non-uniform observation layout falls back to the
-reference per-env ``_finish_step`` path, which remains the oracle for
-the equivalence tests.  Attached telemetry does not disqualify: both
-paths record each step through ``TrafficSignalEnv._record_step``.
+--seconds 16 --trace 1`` on a 2-vCPU host — is recorded with the
+serial serve tick's breakdown in EXPERIMENTS.md.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 import numpy as np
 
 from repro.env.observation import FEATURES_PER_APPROACH
 from repro.env.tsc_env import StepResult, TrafficSignalEnv
-from repro.sim.detectors import DetectorSuite
+from repro.sim.detectors import DetectorSuite, bulk_readings
+from repro.sim.engine import Simulation
 from repro.sim.metrics import average_travel_time
-from repro.sim.soa import SoAEngine
+from repro.sim.network import VEHICLE_SPACE_M
+from repro.sim.soa import SoAEngine, SoAReplicaView
 
 
 class BatchedStepExtractor:
-    """Finishes all replicas' env steps in one vectorized pass.
+    """Finishes B envs' steps over one engine in one vectorized pass.
 
-    Built fresh per episode (detector suites are rebuilt on reset); all
-    static index arrays are borrowed from the first env's detectors,
-    which is sound because every replica view shares the engine's single
-    network object, so every env's ``DetectorSuite`` builds identical
-    indexes.
+    Built fresh per episode (detector suites are rebuilt on reset) from
+    static index arrays memoized on the network, so a reset rebuilds no
+    index.  Every env's ``DetectorSuite`` is over the same network and
+    coverage, so they share those arrays.  The extractor holds the envs
+    but never their simulations or detector suites: both are read from
+    the envs each tick, so replacing ``env.sim`` frees the old one.
     """
 
-    def __init__(self, envs: list[TrafficSignalEnv], engine: SoAEngine) -> None:
+    def __init__(self, envs: list[TrafficSignalEnv]) -> None:
         self.envs = envs
-        self.engine = engine
-        det = envs[0].detectors
-        assert type(det) is DetectorSuite
-        self.det0 = det
+        head = envs[0]
+        det = head.detectors
+        self.index = det._bulk_index
         self.coverage = det.coverage
-        self.visible_slots = det._visible_slots
-        self.reward_scale = envs[0].config.reward_scale
-        self.B = engine.batch
-        self.NL = engine.NL
-        self.LK = engine.LK
-        self.NM = len(det._mv_index)
-        self.NN = len(det._node_order)
-        self.agent_ids = list(envs[0].agent_ids)
-        self.M = len(self.agent_ids)
-
-        self._link_lane_start = np.asarray(engine._link_lane_start, dtype=np.intp)
-        self._link_arange = np.arange(self.LK, dtype=np.intp)
-        self._speed = np.asarray(engine._speed, dtype=np.float64)
-        self._length = np.asarray(engine._length, dtype=np.float64)
-        # Per-lane spillback threshold, in detector lane order (== engine
-        # lane order: both are link-major over network.links).
-        thr = []
-        for link_id in det._link_order:
-            geom = det._link_geom[link_id]
-            thr.extend([geom[3]] * len(geom[2]))
-        self._thr_lane = np.asarray(thr, dtype=np.float64)
-
-        # Observation slots: per agent, the link index feeding each
-        # compass slot (-1 = empty slot).  Uniform width is an
-        # eligibility precondition.
-        builder = envs[0].obs_builder
-        self.num_slots = len(builder._slots[self.agent_ids[0]])
-        slot_idx = np.zeros((self.M, self.num_slots), dtype=np.intp)
-        slot_mask = np.zeros((self.M, self.num_slots), dtype=bool)
-        for m, node_id in enumerate(self.agent_ids):
-            for s, link_id in enumerate(builder._slots[node_id]):
-                if link_id is not None:
-                    slot_idx[m, s] = det._link_index[link_id]
-                    slot_mask[m, s] = True
-        self._slot_idx = slot_idx
-        self._slot_mask = slot_mask
-        from repro.sim.network import VEHICLE_SPACE_M
-
+        self.reward_scale = head.config.reward_scale
+        self.B = len(envs)
+        builder = head.obs_builder
         self.norm_p = max(1.0, self.coverage / VEHICLE_SPACE_M)
         self.wait_norm = builder.wait_normaliser
+        (
+            self.agent_ids,
+            self._slot_idx,
+            self._slot_mask,
+            self._agent_lanes,
+            self._agent_lane_start,
+            self._agent_node,
+        ) = _static_index(head)
+        self.M = len(self.agent_ids)
+        self.num_slots = self._slot_idx.shape[1]
 
-        # Reward (Eq. 6) lane groups: the incoming lanes of each agent
-        # node, flattened in the reference iteration order.
-        network = det.sim.network
-        agent_lanes: list[int] = []
-        starts: list[int] = []
-        lane_index = {l: i for i, l in enumerate(det._lane_order)}
-        for node_id in self.agent_ids:
-            starts.append(len(agent_lanes))
-            for link_id in network.nodes[node_id].incoming:
-                for lane in network.links[link_id].lanes:
-                    agent_lanes.append(lane_index[lane.lane_id])
-        self._agent_lanes = np.asarray(agent_lanes, dtype=np.intp)
-        self._agent_lane_start = np.asarray(starts, dtype=np.intp)
-
-        # Latest per-tick products, exposed for the batched policy path.
+        #: Tick of the latest per-tick products below.
+        self.time = -1
+        #: Partner-selection congestion scores in agent order: the
+        #: ``_bulk_ic`` entry ``env.congestion_score`` would read.
+        self.congestion = np.zeros((self.B, self.M))
         self.pressures: np.ndarray | None = None  # (B, M, S)
         self.observations: np.ndarray | None = None  # (B, M, 2S)
-        # Partner-selection congestion scores in agent order: the
-        # ``_bulk_ic`` entry ``env.congestion_score`` would read.  Filled
-        # here from the reset-time bulk pass (tick 0), then per tick for
-        # every live replica by ``_bulk_replica``.
-        self._agent_node = np.asarray(
-            [det._node_index[a] for a in self.agent_ids], dtype=np.intp
-        )
-        self.congestion = np.empty((self.B, self.M))  # (B, M)
-        for b, env in enumerate(envs):
-            env.detectors._bulk_ready()
-            self.congestion[b] = env.detectors._bulk_ic[self._agent_node]
 
     # ------------------------------------------------------------------
     @staticmethod
     def maybe_build(
-        envs: list[TrafficSignalEnv], engine: SoAEngine
+        envs: list[TrafficSignalEnv], engine
     ) -> "BatchedStepExtractor | None":
-        """Build an extractor iff the fast path is exactly equivalent."""
+        """Build an extractor iff the fast path is exactly equivalent.
+
+        ``engine`` is what advances the envs: a batched ``SoAEngine``
+        with one replica per env, or one env's own ``Simulation``.
+        """
+        if isinstance(engine, SoAEngine):
+            if engine.batch != len(envs):
+                return None
+        elif type(engine) is not Simulation or len(envs) != 1:
+            return None  # e.g. sharded engines
         head = envs[0]
         slots0 = head.obs_builder._slots
         widths = {len(s) for s in slots0.values()}
@@ -157,32 +127,24 @@ class BatchedStepExtractor:
                 return None
             if env.obs_builder._slots != slots0:
                 return None
-        return BatchedStepExtractor(envs, engine)
+        return BatchedStepExtractor(envs)
 
     # ------------------------------------------------------------------
     def finish_all(self, live: list[bool]) -> list[StepResult | None]:
-        """Equivalent of ``env._finish_step()`` for every live replica."""
-        engine = self.engine
-        B, NL, LK = self.B, self.NL, self.LK
-        now = engine.time
+        """Equivalent of ``env._finish_step()`` for every live env: the
+        lockstep group's entry point.  A serial env calls :meth:`finish`
+        directly, so its extraction counts as part of its own step."""
+        return self.finish(live)
 
-        qlen = np.fromiter(
-            map(len, engine._queues), dtype=np.int64, count=B * NL
-        ).reshape(B, NL)
-        lane_wait = np.where(
-            engine._head_row != engine.EMPTY_ROW, now - engine._head_anchor, 0
-        ).reshape(B, NL)
-        link_wait = np.maximum.reduceat(lane_wait, self._link_lane_start, axis=1)
+    def observe(self) -> list[dict[str, np.ndarray]]:
+        """Every env's observations at the current tick (reset time)."""
+        self._extract([True] * self.B)
+        return [dict(zip(self.agent_ids, rows)) for rows in self.observations]
 
-        lp_mat = np.empty((B, LK), dtype=np.float64)
-        for b in range(B):
-            if live[b]:
-                lp_mat[b] = self._bulk_replica(b, qlen[b], now)
-
-        obs, press = self._build_observations(lp_mat, link_wait)
-        self.pressures = press
-        self.observations = obs
-
+    def finish(self, live: list[bool]) -> list[StepResult | None]:
+        """Observations, rewards and info of every live env after a step;
+        ``None`` for the others (drained lockstep replicas)."""
+        qlen, lane_wait = self._extract(live)
         halts = np.add.reduceat(
             qlen[:, self._agent_lanes], self._agent_lane_start, axis=1
         )
@@ -197,116 +159,60 @@ class BatchedStepExtractor:
             if not live[b]:
                 results.append(None)
                 continue
-            # Pre-populate the per-tick pressure cache so the critic's
-            # neighbourhood queries are dictionary lookups.
-            env._pressure_cache_time = now
-            env._pressure_cache = {
-                node_id: press[b, m] for m, node_id in enumerate(agent_ids)
-            }
-            observations = {
-                node_id: obs[b, m] for m, node_id in enumerate(agent_ids)
-            }
-            rewards = {
-                node_id: float(rewards_mat[b, m])
-                for m, node_id in enumerate(agent_ids)
-            }
+            sim = env.sim
             done = env._is_done()
             info = {
-                "time": now,
-                "vehicles_in_network": engine._inserted_cnt[b]
-                - engine._finished_cnt[b],
-                "pending_insertions": engine._arr_ptr[b]
-                - engine._inserted_cnt[b],
+                "time": sim.time,
+                "vehicles_in_network": sim.vehicles_in_network(),
+                "pending_insertions": sim.pending_insertions(),
                 "average_wait": float(np.mean(maxw[b])),
             }
             if done:
-                info["average_travel_time"] = average_travel_time(env.sim)
-                info["finished_vehicles"] = len(env.sim.finished_vehicles)
-                info["total_created"] = env.sim.total_created
+                info["average_travel_time"] = average_travel_time(sim)
+                info["finished_vehicles"] = len(sim.finished_vehicles)
+                info["total_created"] = sim.total_created
             env._record_step(done, info["vehicles_in_network"])
-            results.append(StepResult(observations, rewards, done, info))
+            results.append(
+                StepResult(
+                    dict(zip(agent_ids, self.observations[b])),
+                    dict(zip(agent_ids, rewards_mat[b].tolist())),
+                    done,
+                    info,
+                )
+            )
         return results
 
     # ------------------------------------------------------------------
-    def _bulk_replica(self, b: int, qlen_b: np.ndarray, now: int) -> np.ndarray:
-        """Mirror of ``DetectorSuite._bulk_compute`` for replica ``b``.
-
-        Replaces the Python per-link/per-vehicle scans with numpy kernels
-        while preserving every accumulation order and scalar conversion,
-        then injects the arrays into the env's detector cache.  Returns
-        the link-pressure row (reused by the observation assembly).
-        """
-        det = self.envs[b].detectors
-        engine = self.engine
-        LK = self.LK
-        coverage = self.coverage
-
-        queue_obs = np.minimum(qlen_b, self.visible_slots)
-
-        running_b = engine._running[b]
-        counts = np.fromiter(map(len, running_b), dtype=np.int64, count=LK)
-        total = int(counts.sum())
-        if total:
-            vids = np.fromiter(
-                chain.from_iterable(running_b), dtype=np.int64, count=total
-            )
-            run_start = engine._v_run_start[b]
-            starts = np.fromiter(
-                map(run_start.__getitem__, vids.tolist()),
-                dtype=np.int64,
-                count=total,
-            )
-            link_rep = np.repeat(self._link_arange, counts)
-            travelled = self._speed[link_rep] * (now - starts)
-            # max(0, length - travelled) <= coverage  <=>  the plain
-            # comparison, because coverage > 0.
-            app_mask = (self._length[link_rep] - travelled) <= coverage
-            near_mask = travelled <= coverage
-            app = np.bincount(
-                link_rep[app_mask], minlength=LK
-            ).astype(np.int64)
-            down = np.bincount(
-                link_rep[near_mask], minlength=LK
-            ).astype(np.int64)
-        else:
-            app = np.zeros(LK, dtype=np.int64)
-            down = np.zeros(LK, dtype=np.int64)
-
-        overflow = qlen_b - self._thr_lane
-        spill = np.where(overflow > 0, overflow.astype(np.int64), 0)
-        down = down + np.add.reduceat(spill, self._link_lane_start)
-
-        onl = np.add.reduceat(queue_obs, self._link_lane_start) + app
-
-        incoming = np.zeros(self.NM)
-        np.add.at(
-            incoming, det._in_mv, queue_obs[det._in_lane] / det._in_sharers
+    def _extract(self, live: list[bool]) -> tuple[np.ndarray, np.ndarray]:
+        """Run the bulk pass for this tick, inject every live env's row
+        into its detector suite, and refresh the per-tick products.
+        Returns the ``(B, NL)`` per-lane queue lengths and head waits."""
+        envs = self.envs
+        sim = envs[0].sim
+        now = sim.time
+        engine = sim.engine if isinstance(sim, SoAReplicaView) else sim
+        qlen, lane_wait, counts, run_start = engine.detector_inputs()
+        readings = bulk_readings(self.index, self.coverage, now, qlen, counts, run_start)
+        for b, env in enumerate(envs):
+            if live[b]:
+                env.detectors._inject(readings, b, now)
+        lp, ic = readings[4], readings[6]
+        self.congestion[...] = ic[:, self._agent_node]
+        link_wait = np.maximum.reduceat(
+            lane_wait, self.index["_link_lane_start"], axis=1
         )
-        incoming += (app[det._mv_in_link] / det._mv_in_count) * det._mv_in_scale
-        mp = incoming - down[det._mv_out_link] / det._mv_out_lanes
-        lp = np.zeros(LK)
-        np.add.at(lp, det._lp_link, mp[det._lp_mv])
-        ip = np.zeros(self.NN)
-        np.add.at(ip, det._ip_node, np.abs(mp[det._ip_mv]))
-        ic = np.zeros(self.NN, dtype=np.int64)
-        np.add.at(ic, det._ic_node, onl[det._ic_link])
+        self._build_observations(lp, link_wait)
+        # Pre-populate each live env's per-tick pressure cache so the
+        # critic's neighbourhood queries are dictionary lookups.
+        for b, env in enumerate(envs):
+            if live[b]:
+                env._pressure_cache_time = now
+                env._pressure_cache = dict(zip(self.agent_ids, self.pressures[b]))
+        self.time = now
+        return qlen, lane_wait
 
-        det._bulk_app = app
-        det._bulk_down = down
-        det._bulk_onl = onl
-        det._bulk_mp = mp
-        det._bulk_lp = lp
-        det._bulk_ip = ip
-        det._bulk_ic = ic
-        det._bulk_time = now
-        self.congestion[b] = ic[self._agent_node]
-        return lp
-
-    # ------------------------------------------------------------------
-    def _build_observations(
-        self, lp_mat: np.ndarray, link_wait: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Eq. 5 observations and per-slot pressures for every replica.
+    def _build_observations(self, lp_mat: np.ndarray, link_wait: np.ndarray) -> None:
+        """Eq. 5 observations and per-slot pressures for every env.
 
         Freshly allocated each tick: the rollout buffer stores these
         arrays by reference.
@@ -321,4 +227,50 @@ class BatchedStepExtractor:
         )
         obs[..., 0::2] = press
         obs[..., 1::2] = waitf
-        return obs, press
+        self.pressures = press
+        self.observations = obs
+
+
+def _static_index(env: TrafficSignalEnv) -> tuple:
+    """The extractor's static arrays for ``env``'s network and slot
+    layout, memoized on the network beside the detector index
+    (``RoadNetwork.add_*`` clears both)."""
+    builder = env.obs_builder
+    det = env.detectors
+    memo = env.network.detector_memo
+    key = ("step_extractor", builder.num_slots)
+    static = memo.get(key)
+    if static is not None:
+        return static
+    agent_ids = tuple(env.agent_ids)
+    # Observation slots: per agent, the link index feeding each compass
+    # slot (masked where the slot is empty).  Uniform width is an
+    # eligibility precondition.
+    num_slots = len(builder._slots[agent_ids[0]])
+    slot_idx = np.zeros((len(agent_ids), num_slots), dtype=np.intp)
+    slot_mask = np.zeros((len(agent_ids), num_slots), dtype=bool)
+    for m, node_id in enumerate(agent_ids):
+        for s, link_id in enumerate(builder._slots[node_id]):
+            if link_id is not None:
+                slot_idx[m, s] = det._link_index[link_id]
+                slot_mask[m, s] = True
+    # Reward (Eq. 6) lane groups: the incoming lanes of each agent node,
+    # flattened in the reference iteration order (a link's lanes are
+    # contiguous in lane order, starting at its ``_link_lane_start``).
+    lane_start = det._link_lane_start
+    agent_lanes: list[int] = []
+    starts: list[int] = []
+    for node_id in agent_ids:
+        starts.append(len(agent_lanes))
+        for link_id in det._node_incoming[node_id]:
+            first = int(lane_start[det._link_index[link_id]])
+            agent_lanes.extend(range(first, first + len(det._link_geom[link_id][2])))
+    static = memo[key] = (
+        agent_ids,
+        slot_idx,
+        slot_mask,
+        np.asarray(agent_lanes, dtype=np.intp),
+        np.asarray(starts, dtype=np.intp),
+        np.asarray([det._node_index[a] for a in agent_ids], dtype=np.intp),
+    )
+    return static

@@ -42,6 +42,9 @@ class FallbackController:
         self.policy = policy
         self.fixed_stage_seconds = fixed_stage_seconds
         self._programs: dict[str, FixedTimeProgram] = {}
+        #: The detector bulk array ``_mp_values`` was listed from.
+        self._mp_array: np.ndarray | None = None
+        self._mp_values: list[float] = []
 
     def action(self, env: TrafficSignalEnv, node_id: str) -> int:
         """Fallback phase for ``node_id`` at the current simulation time."""
@@ -61,18 +64,56 @@ class FallbackController:
         return program.phase_at(env.sim.time)
 
     def _max_pressure_action(self, env: TrafficSignalEnv, node_id: str) -> int:
-        assert env.detectors is not None
+        detectors = env.detectors
+        assert detectors is not None
         plan = env.phase_plans[node_id]
+        if (
+            detectors._cache_enabled
+            and detectors._bulk_enabled
+            and detectors._bulk_ready()
+        ):
+            # Bulk suites: this tick's movement pressures as one list,
+            # summed per phase in the green-set iteration order below.
+            mp = detectors._bulk_mp
+            if mp is not self._mp_array:
+                self._mp_array, self._mp_values = mp, mp.tolist()
+            values = self._mp_values
+            phase_pressures = [
+                sum(values[i] for i in movements)
+                for movements in _phase_movements(detectors, node_id, plan)
+            ]
+        else:  # fault-injecting suites: every read may draw RNG
+            phase_pressures = (
+                sum(
+                    detectors.movement_pressure(env.network.movements[key])
+                    for key in phase.green_movements
+                )
+                for phase in plan.phases
+            )
         best_index = 0
         best_pressure = -np.inf
-        for index, phase in enumerate(plan.phases):
-            pressure = sum(
-                env.detectors.movement_pressure(env.network.movements[key])
-                for key in phase.green_movements
-            )
+        for index, pressure in enumerate(phase_pressures):
             if pressure > best_pressure:
                 best_index, best_pressure = index, pressure
         return best_index
+
+
+def _phase_movements(detectors, node_id: str, plan) -> tuple[tuple[int, ...], ...]:
+    """Per phase of ``plan``, the bulk movement rows of its green set, in
+    the set's iteration order; memoized on the detectors' network per
+    node (checked against the plan object, which the memo keeps)."""
+    memo = detectors.sim.network.detector_memo.setdefault("fallback_phases", {})
+    entry = memo.get(node_id)
+    if entry is None or entry[0] is not plan:
+        mv_index = detectors._mv_index
+        entry = memo[node_id] = (
+            plan,
+            tuple(
+                tuple(mv_index[key] for key in phase.green_movements)
+                for phase in plan.phases
+            ),
+        )
+    return entry[1]
 
 
 class ControllerFaultWrapper(AgentSystem):

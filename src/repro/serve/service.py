@@ -27,6 +27,7 @@ import numpy as np
 from repro.env.tsc_env import TrafficSignalEnv
 from repro.errors import ConfigError
 from repro.faults.controller import FallbackController
+from repro.perf.timers import TIMERS
 from repro.serve.config import ServeConfig
 from repro.serve.deadline import DeadlineBudget, Watchdog
 from repro.serve.fallback import FallbackManager
@@ -161,7 +162,8 @@ class ControlService:
         if self.watchdog is not None:
             self.watchdog.arm(tick)
         try:
-            raw_actions = self.runtime.act(observations, env)
+            with TIMERS.section("serve/act"):
+                raw_actions = self.runtime.act(observations, env)
         except Exception as error:  # the service must never fail open
             failure = f"{type(error).__name__}: {error}"
         finally:
@@ -182,26 +184,27 @@ class ControlService:
 
         actions: dict[str, int] = {}
         fallback_count = 0
-        for node_id in env.agent_ids:
-            verdict = self._verdict(
-                env, node_id, raw_actions, failure, deadline_missed
-            )
-            decision = self.fallbacks.decide(node_id, tick, verdict is None)
-            if self.telemetry is not None:
-                if decision.transition == "demoted":
-                    self.telemetry.serve_fallback(
-                        node_id=node_id,
-                        tick=tick,
-                        reason=verdict or "unknown",
-                        backoff_ticks=self.fallbacks.state(node_id).backoff_ticks,
-                    )
-                elif decision.transition == "promoted":
-                    self.telemetry.serve_promotion(node_id=node_id, tick=tick)
-            if decision.use_fallback:
-                actions[node_id] = self.fallback_controller.action(env, node_id)
-                fallback_count += 1
-            else:
-                actions[node_id] = int(raw_actions[node_id])
+        with TIMERS.section("serve/fallback"):
+            for node_id in env.agent_ids:
+                verdict = self._verdict(
+                    env, node_id, raw_actions, failure, deadline_missed
+                )
+                decision = self.fallbacks.decide(node_id, tick, verdict is None)
+                if self.telemetry is not None:
+                    if decision.transition == "demoted":
+                        self.telemetry.serve_fallback(
+                            node_id=node_id,
+                            tick=tick,
+                            reason=verdict or "unknown",
+                            backoff_ticks=self.fallbacks.state(node_id).backoff_ticks,
+                        )
+                    elif decision.transition == "promoted":
+                        self.telemetry.serve_promotion(node_id=node_id, tick=tick)
+                if decision.use_fallback:
+                    actions[node_id] = self.fallback_controller.action(env, node_id)
+                    fallback_count += 1
+                else:
+                    actions[node_id] = int(raw_actions[node_id])
 
         self.health.observe_tick(
             latency_s=budget.elapsed(),

@@ -13,6 +13,17 @@ state inside :meth:`Simulation.step`, so any quantity queried twice at
 the same ``sim.time`` is identical.  Subclasses whose readings are *not*
 pure functions of simulation state (fault injection consumes RNG on
 every read) must set ``_cache_enabled = False``.
+
+The exact base class computes a whole tick at once (*bulk mode*):
+:func:`bulk_readings` turns four engine inputs — per-lane queue
+lengths, per-link running counts and the running vehicles' ``run_start``
+ticks (from ``sim.detector_inputs()``; head waits are the fourth, used
+by the observation extractor) — into every link, movement and node
+reading for ``B >= 1`` replicas in numpy kernels.  It is the only
+implementation of the bulk math: a suite's own per-tick pass runs it at
+B=1, and :class:`repro.eval.batched_obs.BatchedStepExtractor` runs it
+for a whole engine and injects each replica's row.  The per-call
+``_*_raw`` methods are the reference it is pinned to.
 """
 
 from __future__ import annotations
@@ -54,9 +65,10 @@ class DetectorSuite:
         # arrays), resolved once per network so the per-tick hot path
         # does no list comprehensions or property formatting.  They are
         # read-only and shared by every suite over the same network.
-        vars(self).update(
-            network_index(sim.network, coverage, bulk=self._bulk_enabled)
-        )
+        index = network_index(sim.network, coverage, bulk=self._bulk_enabled)
+        vars(self).update(index)
+        if self._bulk_enabled:
+            self._bulk_index = index
         # Per-tick memo: valid only while ``sim.time`` is unchanged.
         self._cache_enabled = True
         self._cache_time = -1
@@ -65,63 +77,25 @@ class DetectorSuite:
 
     def _bulk_compute(self) -> None:
         """One vectorized pass over the whole network for this tick."""
-        sim = self.sim
-        now = sim.time
-        coverage = self.coverage
-        running = sim.running
-        queue_length = sim.queue_length
-        num_links = len(self._link_order)
-        queue_len = np.fromiter(
-            (queue_length(lane_id) for lane_id in self._lane_order),
-            dtype=np.int64,
-            count=len(self._lane_order),
+        qlen, _, counts, run_start = self.sim.detector_inputs()
+        now = self.sim.time
+        self._inject(
+            bulk_readings(self._bulk_index, self.coverage, now, qlen, counts, run_start),
+            0,
+            now,
         )
-        queue_obs = np.minimum(queue_len, self._visible_slots)
-        app = np.zeros(num_links, dtype=np.int64)
-        down = np.zeros(num_links, dtype=np.int64)
-        lane_cursor = 0
-        for link_i, link_id in enumerate(self._link_order):
-            length, speed_limit, lane_ids, spillback_threshold = self._link_geom[
-                link_id
-            ]
-            approaching = near_entry = 0
-            for vehicle in running[link_id]:
-                travelled = speed_limit * (now - vehicle.run_start)
-                if max(0.0, length - travelled) <= coverage:
-                    approaching += 1
-                if travelled <= coverage:
-                    near_entry += 1
-            for lane_offset in range(len(lane_ids)):
-                overflow = queue_len[lane_cursor + lane_offset] - spillback_threshold
-                if overflow > 0:
-                    near_entry += int(overflow)
-            lane_cursor += len(lane_ids)
-            app[link_i] = approaching
-            down[link_i] = near_entry
-        onl = np.zeros(num_links, dtype=np.int64)
-        np.add.at(onl, self._onl_link, queue_obs)
-        onl += app
 
-        incoming = np.zeros(len(self._mv_index))
-        np.add.at(
-            incoming, self._in_mv, queue_obs[self._in_lane] / self._in_sharers
-        )
-        incoming += (app[self._mv_in_link] / self._mv_in_count) * self._mv_in_scale
-        mp = incoming - down[self._mv_out_link] / self._mv_out_lanes
-        lp = np.zeros(num_links)
-        np.add.at(lp, self._lp_link, mp[self._lp_mv])
-        ip = np.zeros(len(self._node_order))
-        np.add.at(ip, self._ip_node, np.abs(mp[self._ip_mv]))
-        ic = np.zeros(len(self._node_order), dtype=np.int64)
-        np.add.at(ic, self._ic_node, onl[self._ic_link])
-
-        self._bulk_app = app
-        self._bulk_down = down
-        self._bulk_onl = onl
-        self._bulk_mp = mp
-        self._bulk_lp = lp
-        self._bulk_ip = ip
-        self._bulk_ic = ic
+    def _inject(self, readings: tuple[np.ndarray, ...], b: int, now: int) -> None:
+        """Adopt row ``b`` of :func:`bulk_readings` as this tick's cache."""
+        (
+            self._bulk_app,
+            self._bulk_down,
+            self._bulk_onl,
+            self._bulk_mp,
+            self._bulk_lp,
+            self._bulk_ip,
+            self._bulk_ic,
+        ) = (array[b] for array in readings)
         self._bulk_time = now
 
     def _bulk_ready(self) -> bool:
@@ -335,6 +309,79 @@ class DetectorSuite:
         return self.sim.link_head_wait(link_id)
 
 
+def bulk_readings(
+    index: dict[str, object],
+    coverage: float,
+    now: int,
+    qlen: np.ndarray,
+    counts: np.ndarray,
+    run_start: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Every bulk reading of ``B`` replicas of one network in one pass.
+
+    ``index`` is the network's bulk index (:func:`network_index` with
+    ``bulk=True``).  The inputs are ``(B, NL)`` per-lane queue lengths
+    in ``_lane_order``, ``(B, LK)`` running-vehicle counts per link in
+    ``_link_order``, and the ``run_start`` tick of every running vehicle,
+    flat in replica, link, then running order.  Returns the ``(B, ·)``
+    arrays ``(app, down, onl, mp, lp, ip, ic)`` that
+    :meth:`DetectorSuite._inject` adopts per replica.
+
+    The per-vehicle comparisons, integer conversions and the
+    accumulation order of every float sum are those of the raw
+    ``_observed_*`` methods, so each row equals the per-call readings
+    bit for bit.
+    """
+    batch, num_links = counts.shape
+    lane_start = index["_link_lane_start"]
+    queue_obs = np.minimum(qlen, index["_visible_slots"])
+
+    link_of = np.repeat(np.arange(batch * num_links), counts.ravel())
+    link = link_of % num_links if batch > 1 else link_of
+    travelled = index["_link_speed"][link] * (now - run_start)
+    # max(0, length - travelled) <= coverage  <=>  the plain comparison,
+    # because coverage > 0.
+    approaching = link_of[index["_link_length"][link] - travelled <= coverage]
+    app = np.bincount(approaching, minlength=batch * num_links)
+    app = app.reshape(batch, num_links)
+    down = np.bincount(link_of[travelled <= coverage], minlength=batch * num_links)
+    overflow = qlen - index["_lane_threshold"]
+    spill = np.where(overflow > 0, overflow.astype(np.int64), 0)
+    down = down.reshape(batch, num_links) + np.add.reduceat(spill, lane_start, axis=1)
+    onl = np.add.reduceat(queue_obs, lane_start, axis=1) + app
+
+    num_movements = len(index["_mv_index"])
+    num_nodes = len(index["_node_order"])
+    incoming = _scatter_rows(
+        index["_in_mv"],
+        queue_obs[:, index["_in_lane"]] / index["_in_sharers"],
+        num_movements,
+    )
+    incoming += (
+        app[:, index["_mv_in_link"]] / index["_mv_in_count"]
+    ) * index["_mv_in_scale"]
+    mp = incoming - down[:, index["_mv_out_link"]] / index["_mv_out_lanes"]
+    lp = _scatter_rows(index["_lp_link"], mp[:, index["_lp_mv"]], num_links)
+    ip = _scatter_rows(index["_ip_node"], np.abs(mp[:, index["_ip_mv"]]), num_nodes)
+    ic = _scatter_rows(index["_ic_node"], onl[:, index["_ic_link"]], num_nodes)
+    return app, down, onl, mp, lp, ip, ic.astype(np.int64)
+
+
+def _scatter_rows(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """``out[b, index[j]] += values[b, j]`` from zeros, ``j`` ascending.
+
+    ``np.bincount`` accumulates sequentially in input order, exactly as
+    ``np.add.at`` into zeros and as the raw methods' running sums do.
+    """
+    batch = values.shape[0]
+    if batch == 1:
+        return np.bincount(index, weights=values[0], minlength=size)[None]
+    flat = (index + size * np.arange(batch)[:, None]).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=batch * size).reshape(
+        batch, size
+    )
+
+
 def network_index(
     network: RoadNetwork, coverage: float, bulk: bool = False
 ) -> dict[str, object]:
@@ -461,10 +508,19 @@ def _build_bulk_index(
         "_node_order": node_order,
         "_node_index": {n: i for i, n in enumerate(node_order)},
         "_mv_index": mv_index,
-        # queued-per-link: lanes grouped per link, in link lane order.
-        "_onl_link": np.repeat(
-            np.arange(len(link_order)),
-            [len(link_geom[l][2]) for l in link_order],
+        # Per link: first lane (lanes are link-major), speed, length;
+        # per lane: the spillback threshold of its link.
+        "_link_lane_start": intp(
+            np.cumsum([0] + [len(link_geom[l][2]) for l in link_order[:-1]])
+        ),
+        "_link_speed": np.asarray(
+            [link_geom[l][1] for l in link_order], dtype=np.float64
+        ),
+        "_link_length": np.asarray(
+            [link_geom[l][0] for l in link_order], dtype=np.float64
+        ),
+        "_lane_threshold": np.asarray(
+            [link_geom[l][3] for l in link_order for _ in link_geom[l][2]]
         ),
         "_in_mv": intp(in_mv),
         "_in_lane": intp(in_lane),

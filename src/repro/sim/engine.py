@@ -875,6 +875,33 @@ class Simulation:
             raise SimulationError(f"unknown link id {link_id!r}") from None
         return max(self.head_wait(lane.lane_id) for lane in link.lanes)
 
+    def detector_inputs(self) -> tuple[np.ndarray, ...]:
+        """This tick's detector inputs as one-replica ``(1, ·)`` rows.
+
+        ``(queue lengths, head waits)`` per lane and running-vehicle
+        counts per link, in network lane/link order (the order of
+        ``lane_queues`` and ``running``, which is the detectors'
+        ``_lane_order``/``_link_order``), plus the flat ``run_start`` of
+        every running vehicle in link, then running order.  Consumed by
+        :func:`repro.sim.detectors.bulk_readings`.
+        """
+        queues = self.lane_queues.values()
+        num_lanes = len(self.lane_queues)
+        qlen = np.fromiter(map(len, queues), dtype=np.int64, count=num_lanes)
+        head_wait = np.fromiter(
+            (queue[0].wait_current_link if queue else 0 for queue in queues),
+            dtype=np.int64,
+            count=num_lanes,
+        )
+        running = list(self.running.values())
+        counts = np.fromiter(map(len, running), dtype=np.int64, count=len(running))
+        run_start = np.fromiter(
+            (vehicle.run_start for vehicles in running for vehicle in vehicles),
+            dtype=np.int64,
+            count=int(counts.sum()),
+        )
+        return qlen[None], head_wait[None], counts[None], run_start
+
     def vehicles_in_network(self) -> int:
         return sum(self.link_occupancy.values())
 

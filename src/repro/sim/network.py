@@ -146,9 +146,11 @@ class RoadNetwork:
         self._movements_by_node: dict[str, list[Movement]] = {}
         self._heading_cache: dict[str, tuple[float, float]] = {}
         #: Static detector lookups keyed by coverage, owned by
-        #: :mod:`repro.sim.detectors`.  Kept on the network so they live
+        #: :mod:`repro.sim.detectors`, plus the index arrays derived from
+        #: them (the step extractor's slot/lane maps, the max-pressure
+        #: fallback's phase rows).  Kept on the network so they live
         #: exactly as long as it does; every ``add_*`` clears them.
-        self.detector_memo: dict[object, dict[str, object]] = {}
+        self.detector_memo: dict[object, object] = {}
         self._validated = False
 
     # ------------------------------------------------------------------

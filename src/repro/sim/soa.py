@@ -50,6 +50,7 @@ from __future__ import annotations
 import gc
 import math
 from collections import deque
+from itertools import chain
 
 import numpy as np
 
@@ -561,6 +562,46 @@ class SoAEngine:
     # ------------------------------------------------------------------
     # Control surface
     # ------------------------------------------------------------------
+    def detector_inputs(self, rows=None) -> tuple[np.ndarray, ...]:
+        """This tick's detector inputs for replicas ``rows`` (default all).
+
+        ``(queue lengths, head waits)`` as ``(R, NL)`` and running-vehicle
+        counts as ``(R, LK)``, in lane/link order (the detectors'
+        ``_lane_order``/``_link_order``), plus the flat ``run_start`` of
+        every running vehicle in replica, link, then running order.
+        Consumed by :func:`repro.sim.detectors.bulk_readings`.
+        """
+        B, NL, LK = self.batch, self.NL, self.LK
+        head_wait = np.where(
+            self._head_row != self.EMPTY_ROW, self.time - self._head_anchor, 0
+        ).reshape(B, NL)
+        if rows is None:
+            rows = range(B)
+            queues = self._queues
+        else:
+            head_wait = head_wait[rows]
+            queues = chain.from_iterable(
+                self._queues[b * NL : (b + 1) * NL] for b in rows
+            )
+        qlen = np.fromiter(map(len, queues), dtype=np.int64, count=len(rows) * NL)
+        counts = np.fromiter(
+            map(len, chain.from_iterable(self._running[b] for b in rows)),
+            dtype=np.int64,
+            count=len(rows) * LK,
+        ).reshape(len(rows), LK)
+        run_start = np.fromiter(
+            chain.from_iterable(
+                map(
+                    self._v_run_start[b].__getitem__,
+                    chain.from_iterable(self._running[b]),
+                )
+                for b in rows
+            ),
+            dtype=np.int64,
+            count=int(counts.sum()),
+        )
+        return qlen.reshape(len(rows), NL), head_wait, counts, run_start
+
     def set_capacity_factor(self, link_id: str, factor: float) -> None:
         """Scale a link's effective storage across every replica.
 
@@ -1640,6 +1681,9 @@ class SoAReplicaView:
             self.head_wait(engine._lane_ids[start + off])
             for off in range(engine._link_lane_count[k])
         )
+
+    def detector_inputs(self) -> tuple[np.ndarray, ...]:
+        return self.engine.detector_inputs([self.b])
 
     def vehicles_in_network(self) -> int:
         return (

@@ -1,0 +1,105 @@
+"""The max-pressure fallback on the detectors' bulk movement pressures.
+
+On a plain ``DetectorSuite`` the fallback sums this tick's
+``_bulk_mp`` through a per-node ``(phase, movement)`` index memoized on
+the network; it must pick exactly what the per-movement reference loop
+picks (first maximum, ``-inf`` start).  Fault-injecting suites keep the
+per-movement reads, whose every call may draw RNG.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from helpers import make_env
+from repro.faults.config import FaultConfig
+from repro.faults.controller import FallbackController
+from repro.faults.detectors import FaultyDetectorSuite
+from repro.scenarios.grid import build_grid
+from repro.sim.detectors import DetectorSuite
+
+pytestmark = pytest.mark.serve
+
+
+def _reference(env, node_id: str) -> int:
+    best_index, best_pressure = 0, -np.inf
+    for index, phase in enumerate(env.phase_plans[node_id].phases):
+        pressure = sum(
+            env.detectors.movement_pressure(env.network.movements[key])
+            for key in phase.green_movements
+        )
+        if pressure > best_pressure:
+            best_index, best_pressure = index, pressure
+    return best_index
+
+
+@pytest.mark.parametrize("engine", ["object", "soa"])
+def test_bulk_path_matches_reference(engine):
+    env = make_env(build_grid(6, 6), peak_rate=900.0, t_peak=60.0, engine=engine)
+    controller = FallbackController("max_pressure")
+    rng = np.random.default_rng(0)
+    env.reset(seed=4)
+    picks = set()
+    for _ in range(40):
+        for node_id in env.agent_ids:
+            action = controller.action(env, node_id)
+            assert action == _reference(env, node_id), node_id
+            picks.add(action)
+        env.step({a: int(rng.integers(4)) for a in env.agent_ids})
+    assert len(picks) > 1  # pressures actually moved the choice
+
+
+def test_empty_network_ties_pick_first_phase():
+    env = make_env(build_grid(3, 3))
+    env.reset(seed=0)  # tick 0: every pressure is zero
+    controller = FallbackController("max_pressure")
+    assert all(controller.action(env, a) == 0 for a in env.agent_ids)
+
+
+def test_plain_suite_skips_per_movement_reads(monkeypatch):
+    env = make_env(build_grid(3, 3), peak_rate=900.0, t_peak=60.0)
+    env.reset(seed=1)
+    env.step({a: 0 for a in env.agent_ids})
+
+    def forbidden(self, movement):
+        raise AssertionError("per-movement read on a bulk suite")
+
+    monkeypatch.setattr(DetectorSuite, "movement_pressure", forbidden)
+    controller = FallbackController("max_pressure")
+    for node_id in env.agent_ids:
+        controller.action(env, node_id)
+
+
+def test_faulty_suite_keeps_per_movement_reads(monkeypatch):
+    env = make_env(
+        build_grid(3, 3), faults=FaultConfig(detector_dropout=0.2, detector_noise=0.3)
+    )
+    env.reset(seed=1)
+    assert isinstance(env.detectors, FaultyDetectorSuite)
+    reads = []
+    original = FaultyDetectorSuite.movement_pressure
+
+    def counting(self, movement):
+        reads.append(movement.key)
+        return original(self, movement)
+
+    monkeypatch.setattr(FaultyDetectorSuite, "movement_pressure", counting)
+    FallbackController("max_pressure").action(env, env.agent_ids[0])
+    assert reads
+
+
+def test_memo_follows_the_plan_object():
+    env = make_env(build_grid(3, 3), peak_rate=900.0, t_peak=60.0)
+    env.reset(seed=2)
+    env.step({a: 0 for a in env.agent_ids})
+    node_id = env.agent_ids[4]
+    controller = FallbackController("max_pressure")
+    before = controller.action(env, node_id)
+    plan = env.phase_plans[node_id]
+    # A plan object listing the phases in reverse order gets its own rows.
+    reversed_plan = type(plan)(plan.node_id, list(reversed(plan.phases)))
+    env.phase_plans = {**env.phase_plans, node_id: reversed_plan}
+    assert controller.action(env, node_id) == _reference(env, node_id)
+    env.phase_plans = {**env.phase_plans, node_id: plan}
+    assert controller.action(env, node_id) == before
