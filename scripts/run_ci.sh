@@ -24,7 +24,11 @@
 #      controller deaths and message delay that must be correct with
 #      zero failed decisions and zero deadline misses, so the serial
 #      array path (B=1 extractor, array routing) stays healthy,
-#   9. the coverage floors (stdlib trace; no coverage package):
+#   9. the train stage: one short traced 6x6 B=8 shared training run
+#      that must be correct with zero failed operations and at least
+#      one PPO update, so the grouped LSTM trunk kernel stays on the
+#      traced update path,
+#  10. the coverage floors (stdlib trace; no coverage package):
 #      src/repro/obs and src/repro/scenarios.
 #
 # Usage, from the repository root:
@@ -72,6 +76,17 @@ misses = result["metrics"]["serve.deadline_misses"]["value"]
 print("correct=%s failed=%s deadline_misses=%s" % (result["correct"], result["failed"], misses))
 if not result["correct"] or result["failed"] != 0 or misses != 0:
     sys.exit("serve stage failed")
+'
+
+echo "== train stage (traced 6x6 B=8 shared training with PPO updates) =="
+python3 perfbench/run.py --workload train_6x6_shared_b8 --seed 1 --seconds 7 --trace 1 \
+    | tail -n 1 | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+updates = result["metrics"]["rl.ppo.update.calls"]["value"]
+print("correct=%s failed=%s ppo_updates=%s" % (result["correct"], result["failed"], updates))
+if not result["correct"] or result["failed"] != 0 or updates <= 0:
+    sys.exit("train stage failed")
 '
 
 echo "== telemetry coverage floor (src/repro/obs) =="

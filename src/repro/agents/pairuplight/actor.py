@@ -13,7 +13,7 @@ import numpy as np
 from repro.nn.linear import Linear
 from repro.nn.lstm import LSTMCell
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, concat, lstm_sequence, lstm_trunk, stack
+from repro.nn.tensor import Tensor, concat, lstm_trunk, stack
 
 
 class CoordinatedActor(Module):
@@ -77,30 +77,36 @@ class CoordinatedActor(Module):
         encoded = self.encoder(x).tanh()
         return self.lstm(encoded, state)
 
+    def sequence_trunk(
+        self,
+        obs_seq: Tensor | np.ndarray,
+        incoming_seq: Tensor | np.ndarray,
+    ) -> tuple:
+        """This network's trunk over a whole ``(horizon, batch, ·)``
+        sequence, as one :func:`repro.nn.tensor.lstm_sequence` trunk
+        ``(x, enc_weight, enc_bias, weight, bias)``."""
+        x = concat([Tensor.ensure(obs_seq), Tensor.ensure(incoming_seq)], axis=-1)
+        return (
+            x,
+            self.encoder.weight,
+            self.encoder.bias,
+            self.lstm.weight,
+            self.lstm.bias,
+        )
+
     def sequence_hidden(
         self,
         obs_seq: Tensor | np.ndarray,
         incoming_seq: Tensor | np.ndarray,
     ) -> Tensor:
-        """Recurrent trunk over a whole ``(horizon, batch, ·)`` sequence.
-
-        Starts from the zero initial state and returns the stacked
-        ``(horizon, batch, hidden)`` hidden states, bit-exact with
-        unrolling :meth:`step_hidden` and stacking.  Fused networks run
-        the single-node :func:`repro.nn.tensor.lstm_sequence` kernel;
-        ``fused=False`` unrolls the composed per-step chain.
+        """Composed recurrent trunk over a whole ``(horizon, batch, ·)``
+        sequence: unrolls :meth:`step_hidden` from the zero initial state
+        and stacks the ``(horizon, batch, hidden)`` hidden states.  The
+        ``fused=False`` update path; fused networks run
+        :meth:`sequence_trunk` through the grouped kernel instead.
         """
         obs_seq = Tensor.ensure(obs_seq)
         incoming_seq = Tensor.ensure(incoming_seq)
-        if self.fused:
-            return lstm_sequence(
-                concat([obs_seq, incoming_seq], axis=-1),
-                self.encoder.weight,
-                self.encoder.bias,
-                self.lstm.weight,
-                self.lstm.bias,
-                workspace=self._trunk_workspace,
-            )
         state = self.initial_state(obs_seq.shape[1])
         hidden = []
         for t in range(obs_seq.shape[0]):

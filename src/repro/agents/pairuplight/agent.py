@@ -45,7 +45,7 @@ from repro.env.tsc_env import StepResult, TrafficSignalEnv
 from repro.errors import ConfigError
 from repro.nn import functional as F
 from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor, no_grad, stack
+from repro.nn.tensor import Tensor, lstm_sequence, no_grad, stack
 from repro.rl.buffer import RolloutBuffer
 from repro.rl.gae import compute_gae
 from repro.rl.ppo import PPOConfig, PPOUpdater
@@ -191,6 +191,9 @@ class PairUpLightSystem(AgentSystem):
         self._ppo = PPOUpdater(
             params, [self._optimizer], cfg.ppo, rng=np.random.default_rng(seed + 2)
         )
+        # Saved activations of the grouped trunk kernel, reused across
+        # PPO minibatches.
+        self._sequence_workspace: dict = {}
         self.regularizer = MessageRegularizer(cfg.sigma, seed=seed + 3)
         self.board = MessageBoard(self.agent_ids, cfg.message_dim)
         self.resilient_reader = ResilientMessageReader(
@@ -507,17 +510,27 @@ class PairUpLightSystem(AgentSystem):
         actor = self.shared_actor
         critic = self.shared_critic
         batch = np.asarray(batch, dtype=np.int64)
-        # Only the LSTM trunk is inherently sequential.  Each network runs
-        # it over the whole (horizon, batch) sequence — one graph node per
-        # trunk when fused — and every head (policy, message, value,
-        # log-softmax, entropy, gather) then runs ONCE over the stacked
-        # (horizon, batch, hidden) states.  All head ops operate
-        # position-wise / reduce along the last axis only, so the result
-        # is element-for-element identical to the per-step formulation.
-        actor_seq = actor.sequence_hidden(
-            data["obs"][:, batch], data["msg_in"][:, batch]
-        )
-        critic_seq = critic.sequence_hidden(data["critic_feat"][:, batch])
+        # Only the LSTM trunks are inherently sequential.  Fused, both
+        # run over the whole (horizon, batch) sequence in one grouped
+        # kernel call — one time loop, one trunk node for both networks;
+        # composed, each network unrolls its own.  Every head (policy,
+        # message, value, log-softmax, entropy, gather) then runs ONCE
+        # over the stacked (horizon, batch, hidden) states.  All head ops
+        # operate position-wise / reduce along the last axis only, so the
+        # result is element-for-element identical to the per-step
+        # formulation.
+        obs_seq = data["obs"][:, batch]
+        msg_seq = data["msg_in"][:, batch]
+        feat_seq = data["critic_feat"][:, batch]
+        if cfg.fused:
+            actor_seq, critic_seq = lstm_sequence(
+                actor.sequence_trunk(obs_seq, msg_seq),
+                critic.sequence_trunk(feat_seq),
+                workspace=self._sequence_workspace,
+            )
+        else:
+            actor_seq = actor.sequence_hidden(obs_seq, msg_seq)
+            critic_seq = critic.sequence_hidden(feat_seq)
         logits = actor.policy_head(actor_seq)
         log_probs = F.log_softmax(logits)
         probs = F.softmax(logits)

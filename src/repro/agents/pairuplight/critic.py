@@ -20,7 +20,7 @@ from repro.env.tsc_env import TrafficSignalEnv
 from repro.nn.linear import Linear
 from repro.nn.lstm import LSTMCell
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, lstm_sequence, lstm_trunk, stack
+from repro.nn.tensor import Tensor, lstm_trunk, stack
 
 #: Feature slots for one-hop neighbours (N/E/S/W of a grid interior node).
 ONE_HOP_SLOTS = 4
@@ -150,20 +150,23 @@ class CentralizedCritic(Module):
         encoded = self.encoder(features).tanh()
         return self.lstm(encoded, state)
 
+    def sequence_trunk(self, feature_seq: Tensor | np.ndarray) -> tuple:
+        """This network's :func:`repro.nn.tensor.lstm_sequence` trunk over
+        a whole ``(horizon, batch, features)`` sequence; see
+        :meth:`CoordinatedActor.sequence_trunk`."""
+        return (
+            Tensor.ensure(feature_seq),
+            self.encoder.weight,
+            self.encoder.bias,
+            self.lstm.weight,
+            self.lstm.bias,
+        )
+
     def sequence_hidden(self, feature_seq: Tensor | np.ndarray) -> Tensor:
-        """Recurrent trunk over a whole ``(horizon, batch, features)``
-        sequence from the zero initial state; see
+        """Composed recurrent trunk over a whole ``(horizon, batch,
+        features)`` sequence from the zero initial state; see
         :meth:`CoordinatedActor.sequence_hidden`."""
         feature_seq = Tensor.ensure(feature_seq)
-        if self.fused:
-            return lstm_sequence(
-                feature_seq,
-                self.encoder.weight,
-                self.encoder.bias,
-                self.lstm.weight,
-                self.lstm.bias,
-                workspace=self._trunk_workspace,
-            )
         state = self.initial_state(feature_seq.shape[1])
         hidden = []
         for t in range(feature_seq.shape[0]):

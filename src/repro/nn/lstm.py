@@ -3,13 +3,12 @@
 Both networks in Fig. 5 of the paper carry a recurrent hidden state
 (`h_{t,pi}` for the actor, `h_{t,V}` for the critic); this module provides
 the single-step cell those networks need, and holds its parameters.  The
-cell itself only steps.  Whole sequences are run by the networks: the PPO
-update re-evaluates stored rollouts through
-``CoordinatedActor.sequence_hidden`` / ``CentralizedCritic.sequence_hidden``,
-which call the fused whole-sequence kernel
-:func:`repro.nn.tensor.lstm_sequence` (encoder, tanh and this cell's
-weights, one graph node per sequence) or, with ``fused=False``, unroll
-this cell step by step.
+cell itself only steps.  Whole sequences are run by the PPO update: fused
+networks hand their trunks (``CoordinatedActor.sequence_trunk`` /
+``CentralizedCritic.sequence_trunk``: input, encoder and this cell's
+weights) to the grouped whole-sequence kernel
+:func:`repro.nn.tensor.lstm_sequence`, actor and critic in one call;
+with ``fused=False`` ``sequence_hidden`` unrolls this cell step by step.
 """
 
 from __future__ import annotations

@@ -23,12 +23,17 @@ hand-derived backward:
   update) as two nodes;
 * :func:`lstm_trunk` — one encoder→tanh→LSTM step as two nodes, the
   recurrent trunk of the PairUpLight actor and critic when acting;
-* :func:`lstm_sequence` — that trunk unrolled over a whole ``(T, N, D)``
-  sequence from a zero state as **one** node, whose backward runs the
-  full BPTT loop; the PPO update re-evaluates stored rollouts with it.
+* :func:`lstm_sequence` — G such trunks (each with its own ``(T, N,
+  D_g)`` input and parameters) unrolled over the whole sequence from a
+  zero state in one time loop, recorded as one kernel node plus a
+  gradient tap per further trunk; its backward runs one BPTT loop for
+  all of them.  The PPO update re-evaluates stored rollouts with it,
+  actor and critic together: one trunk node per minibatch for both
+  networks.
 
 All four are bit-exact with the composed op sequences they replace, in
-forward values *and* accumulated gradients.
+forward values *and* accumulated gradients: :func:`lstm_sequence`
+equals a per-trunk :func:`lstm_trunk` unroll byte for byte.
 """
 
 from __future__ import annotations
@@ -667,6 +672,12 @@ def _ws_buffer(workspace: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
     return buf
 
 
+def _is_fortran(array: np.ndarray) -> bool:
+    """True for a Fortran-ordered (column-major) array that is not also
+    C-ordered, i.e. one that BLAS reads as a transposed operand."""
+    return array.flags.f_contiguous and not array.flags.c_contiguous
+
+
 def affine(
     x: Union[Tensor, ArrayLike],
     weight: Union[Tensor, ArrayLike],
@@ -974,99 +985,190 @@ def lstm_trunk(
     return h_new, c_new
 
 
-def lstm_sequence(
-    x: Union[Tensor, ArrayLike],
-    enc_weight: Union[Tensor, ArrayLike],
-    enc_bias: Union[Tensor, ArrayLike],
-    weight: Union[Tensor, ArrayLike],
-    bias: Union[Tensor, ArrayLike],
-    workspace: dict | None = None,
-) -> Tensor:
-    """Whole-sequence recurrent trunk: :func:`lstm_trunk` over ``T`` steps.
+def _sum_steps(per_step: np.ndarray) -> np.ndarray:
+    """Sum ``per_step`` over its leading axis in index order, the first
+    term copied, exactly as a tape accumulates one gradient per step."""
+    total = per_step[0].copy()
+    for term in per_step[1:]:
+        total += term
+    return total
 
-    ``x`` is a ``(T, N, D)`` input sequence; the LSTM starts from a zero
-    ``(h, c)`` state (Algorithm 1, line 4) and the stacked ``(T, N, H)``
-    hidden states are returned as **one** graph node, where the per-step
-    unroll records two nodes per step plus a ``stack``.
 
-    The forward is a plain numpy loop replaying :func:`lstm_trunk`'s
-    expressions.  The backward runs BPTT in reverse step order and
-    replays ``tap_backward``/``trunk_backward`` exactly: ``dh_t`` is the
-    head gradient ``dH[t]`` plus the recurrent term from step ``t + 1``,
-    and ``dc_t`` is ``dc_{t+1} * f_{t+1}`` plus the tap term.  Each
-    parameter's per-step gradients are summed in the order the tape
-    would accumulate them (``t = T - 1`` first) and handed to
-    :meth:`Tensor._accumulate` once, so forwards and accumulated
-    gradients are bit-exact with the per-step unroll followed by
-    :func:`stack`.
+def lstm_sequence(*trunks: tuple, workspace: dict | None = None) -> tuple[Tensor, ...]:
+    """Grouped whole-sequence recurrent trunks in one time loop.
+
+    Each trunk is a tuple ``(x, enc_weight, enc_bias, weight, bias)``:
+    a ``(T, N, D_g)`` input sequence and the parameters of one
+    :func:`lstm_trunk` (encoder, tanh, LSTM cell).  Trunks may differ in
+    input width ``D_g`` but must share ``T``, ``N``, the encoder width
+    and the hidden size ``H`` (``ValueError`` otherwise).  Every LSTM
+    starts from a zero ``(h, c)`` state (Algorithm 1, line 4); the call
+    returns one ``(T, N, H)`` hidden-state tensor per trunk, in order.
+    A single trunk is simply the ``G = 1`` case.
+
+    The forward runs each trunk's encoder over the whole sequence before
+    the loop; each step then does one stacked ``(G, N, E + H) @
+    (G, E + H, 4H)`` gate matmul and one gate/cell chain over
+    ``(G, N, ·)``, writing ``h`` straight into the next step's input
+    slot.  The graph gets one kernel node (the first trunk's output,
+    whose parents are every trunk's leaves) plus one lightweight tap per
+    further trunk, which stashes its incoming gradient for the kernel's
+    backward (the :func:`lstm_cell` stash/tap pattern).
+
+    The backward runs BPTT over all trunks at once in reverse step
+    order; the loop keeps only the recurrence (gate derivatives,
+    ``dxh = dpre @ W^T``, the per-step ``xh^T @ dpre`` with its
+    accumulation, and one row sum of ``dpre`` for the bias).  The sums
+    over steps and the encoder tail (tanh', ``dx``, ``dWe``, ``dbe``) run
+    after the loop over the whole sequence.  Every expression replays
+    ``tap_backward``/``trunk_backward``, each parameter's per-step
+    gradients are summed in tape order (``t = T - 1`` first) and handed
+    to :meth:`Tensor._accumulate` once, and trunks whose output received
+    no gradient accumulate nothing.  Forwards and accumulated gradients
+    are therefore bit-exact with a per-step :func:`lstm_trunk` unroll of
+    each trunk followed by :func:`stack`.
+
+    Saved activations live in ``workspace`` buffers reused across calls
+    (one dict per caller, e.g. per PPO updater), so a graph is
+    backpropagated at most once and before the next grad-enabled call
+    through the same workspace; anything else raises ``RuntimeError``.
+    Calls under :class:`no_grad` use private buffers.
     """
-    x = Tensor.ensure(x)
-    enc_weight = Tensor.ensure(enc_weight)
-    enc_bias = Tensor.ensure(enc_bias)
-    weight = Tensor.ensure(weight)
-    bias = Tensor.ensure(bias)
-    if x.data.ndim != 3:
+    if not trunks:
+        raise ValueError("lstm_sequence needs at least one trunk")
+    trunks = tuple(tuple(Tensor.ensure(v) for v in trunk) for trunk in trunks)
+    if any(len(trunk) != 5 for trunk in trunks):
+        raise ValueError(
+            "lstm_sequence trunks are (x, enc_weight, enc_bias, weight, bias)"
+        )
+    first_x, first_enc, _, first_w, _ = trunks[0]
+    if first_x.data.ndim != 3:
         raise ValueError("lstm_sequence expects (steps, batch, features) inputs")
-    steps, rows = x.data.shape[0], x.data.shape[1]
-    hs = weight.data.shape[-1] // 4
-    enc_out = enc_weight.data.shape[-1]
-    ws = workspace if workspace is not None else {}
+    steps, rows = first_x.data.shape[:2]
+    enc_out = first_enc.data.shape[-1]
+    hs = first_w.data.shape[-1] // 4
+    width = enc_out + hs
+    for x, enc_weight, _, weight, _ in trunks:
+        if x.data.ndim != 3 or x.data.shape[:2] != (steps, rows):
+            raise ValueError("lstm_sequence trunks need one (steps, batch) shape")
+        if enc_weight.data.shape[-1] != enc_out or weight.data.shape != (width, 4 * hs):
+            raise ValueError(
+                "lstm_sequence trunks need one encoder width and hidden size"
+            )
+    # A GEMM's rounding depends on its operands' memory order, so the
+    # stacked LSTM weights keep the order the trunks' weights share
+    # (orthogonal init leaves them Fortran-ordered, a checkpoint load
+    # C-ordered).
+    fortran = [_is_fortran(trunk[3].data) for trunk in trunks]
+    if any(f != fortran[0] for f in fortran):
+        raise ValueError("lstm_sequence trunks need one LSTM weight memory order")
+    groups = len(trunks)
+    # A no-grad call saves nothing for a backward, so it must not
+    # overwrite the buffers a pending graph saved.
+    ws = workspace if workspace is not None and _grad_enabled else {}
+    owner = object()
+    ws["seq_owner"] = owner
 
-    zeros = np.zeros((rows, hs))
-    h_prev = c_prev = zeros
-    hidden = np.empty((steps, rows, hs))
-    # Per-step activations (xh, i, f, g, o, c_prev, tanh(c)) for BPTT;
-    # ``encoded`` is read back from the head of ``xh``.
-    saved: list[tuple] = []
+    # Buffers are time-major, so each step works on contiguous (G, N, ·)
+    # blocks.  xh[t] is step t's LSTM input [encoded_t, h_{t-1}]; h_t
+    # lands in xh[t + 1], so the hidden states are xh[1:, ..., E:].
+    xh = _ws_buffer(ws, "seq_xh", (steps + 1, groups, rows, width))
+    act = _ws_buffer(ws, "seq_act", (steps, groups, rows, 4 * hs))
+    cell = _ws_buffer(ws, "seq_cell", (steps + 1, groups, rows, hs))
+    tanh_c = _ws_buffer(ws, "seq_tanh_c", (steps, groups, rows, hs))
+    if fortran[0]:
+        w = _ws_buffer(ws, "seq_w", (groups, 4 * hs, width)).transpose(0, 2, 1)
+    else:
+        w = _ws_buffer(ws, "seq_w", (groups, width, 4 * hs))
+    b = _ws_buffer(ws, "seq_b", (groups, 1, 4 * hs))
+    for g, (x, enc_weight, enc_bias, weight, bias) in enumerate(trunks):
+        # Batched over steps: one (N, D) @ (D, E) GEMM per step, as in
+        # lstm_trunk.
+        encoded = xh[:steps, g, :, :enc_out]
+        np.matmul(x.data, enc_weight.data, out=encoded)
+        encoded += enc_bias.data
+        np.tanh(encoded, out=encoded)
+        w[g] = weight.data
+        b[g, 0] = bias.data
+    xh[0, :, :, enc_out:] = 0.0
+    cell[0] = 0.0
+    g_act = _ws_buffer(ws, "seq_g_act", (groups, rows, hs))
+    ig = _ws_buffer(ws, "seq_ig", (groups, rows, hs))
     for t in range(steps):
-        pre = _ws_buffer(ws, "enc_pre", (rows, enc_out))
-        np.matmul(x.data[t], enc_weight.data, out=pre)
-        pre += enc_bias.data
-        encoded = np.tanh(pre)
-        xh = np.concatenate([encoded, h_prev], axis=-1)
-        gates = _ws_buffer(ws, "gates", (rows, 4 * hs))
-        np.matmul(xh, weight.data, out=gates)
-        gates += bias.data
-        if_gates = _stable_sigmoid(gates[:, 0 * hs : 2 * hs])
-        i_gate = if_gates[:, :hs]
-        f_gate = if_gates[:, hs:]
-        g_gate = np.tanh(gates[:, 2 * hs : 3 * hs])
-        o_gate = _stable_sigmoid(gates[:, 3 * hs : 4 * hs])
-        c_data = f_gate * c_prev + i_gate * g_gate
-        tanh_c = np.tanh(c_data)
-        h_data = o_gate * tanh_c
-        hidden[t] = h_data
-        saved.append((xh, i_gate, f_gate, g_gate, o_gate, c_prev, tanh_c))
-        h_prev = h_data
-        c_prev = c_data
+        gates = act[t]
+        np.matmul(xh[t], w, out=gates)
+        gates += b
+        # Gate layout [i, f, g, o]: tanh for g, sigmoid (elementwise,
+        # so one call over all four) for the rest.
+        np.tanh(gates[..., 2 * hs : 3 * hs], out=g_act)
+        gates[...] = _stable_sigmoid(gates)
+        gates[..., 2 * hs : 3 * hs] = g_act
+        c = cell[t + 1]
+        np.multiply(gates[..., hs : 2 * hs], cell[t], out=c)
+        np.multiply(gates[..., :hs], g_act, out=ig)
+        c += ig
+        np.tanh(c, out=tanh_c[t])
+        np.multiply(gates[..., 3 * hs :], tanh_c[t], out=xh[t + 1, :, :, enc_out:])
+    hidden = np.ascontiguousarray(xh[1:, :, :, enc_out:].transpose(1, 0, 2, 3))
 
-    def sequence_backward(d_hidden: np.ndarray) -> None:
-        dpre = _ws_buffer(ws, "dpre", (rows, 4 * hs))
-        s = _ws_buffer(ws, "scratch", (rows, hs))
-        u = _ws_buffer(ws, "tap2", (rows, hs))
-        dxh = _ws_buffer(ws, "dxh", (rows, enc_out + hs))
-        dpre_enc = _ws_buffer(ws, "dpre_enc", (rows, enc_out))
-        step_dw = _ws_buffer(ws, "dw", weight.data.shape)
-        step_db = _ws_buffer(ws, "db", bias.data.shape)
-        step_dwe = _ws_buffer(ws, "dwe", enc_weight.data.shape)
-        step_dbe = _ws_buffer(ws, "dbe", enc_bias.data.shape)
-        sum_dw = _ws_buffer(ws, "sum_dw", weight.data.shape)
-        sum_db = _ws_buffer(ws, "sum_db", bias.data.shape)
-        sum_dwe = _ws_buffer(ws, "sum_dwe", enc_weight.data.shape)
-        sum_dbe = _ws_buffer(ws, "sum_dbe", enc_bias.data.shape)
-        dx = np.empty(x.data.shape) if x.requires_grad else None
-        di = dpre[:, 0 * hs : 1 * hs]
-        df = dpre[:, 1 * hs : 2 * hs]
-        dg = dpre[:, 2 * hs : 3 * hs]
-        do = dpre[:, 3 * hs : 4 * hs]
+    # Per-trunk (epoch, dH) handed over by the kernel node and the taps;
+    # ``woken`` marks an epoch in which only taps received a gradient.
+    stash: list = [None] * groups
+    woken = [0]
+
+    def sequence_backward(d_first: np.ndarray) -> None:
+        if ws.get("seq_owner") is not owner:
+            raise RuntimeError(
+                "lstm_sequence workspace reused by another call before backward"
+            )
+        epoch = _backward_epoch
+        if woken[0] != epoch:
+            stash[0] = (epoch, d_first)
+        # The encoder tail below overwrites the saved inputs.
+        ws["seq_owner"] = None
+        live = [g for g in range(groups) if stash[g] is not None and stash[g][0] == epoch]
+        d_hidden = [
+            stash[g][1] if g in live else np.zeros((steps, rows, hs))
+            for g in range(groups)
+        ]
+
+        # Step k of the loop is step t = T - 1 - k, the tape order; the
+        # tables below are indexed by k.
+        d_enc = _ws_buffer(ws, "seq_d_enc", (steps, groups, rows, enc_out))
+        db_steps = _ws_buffer(ws, "seq_db_steps", (steps, groups, 4 * hs))
+        dpre = _ws_buffer(ws, "seq_dpre", (groups, rows, 4 * hs))
+        dxh = _ws_buffer(ws, "seq_dxh", (groups, rows, width))
+        dh = _ws_buffer(ws, "seq_dh", (groups, rows, hs))
+        dc_buf = _ws_buffer(ws, "seq_dc", (groups, rows, hs))
+        tap = _ws_buffer(ws, "seq_tap", (groups, rows, hs))
+        u = _ws_buffer(ws, "seq_u", (groups, rows, hs))
+        s = _ws_buffer(ws, "seq_s", (groups, rows, hs))
+        dw_shape = (groups, width, 4 * hs)
+        sum_dw = _ws_buffer(ws, "seq_sum_dw", dw_shape)
+        step_dw = _ws_buffer(ws, "seq_step_dw", dw_shape)
+        w_t = w.transpose(0, 2, 1)
+        want_dw = any(trunks[g][3].requires_grad for g in live)
+        di = dpre[..., 0 * hs : 1 * hs]
+        df = dpre[..., 1 * hs : 2 * hs]
+        dg = dpre[..., 2 * hs : 3 * hs]
+        do = dpre[..., 3 * hs : 4 * hs]
         dh_rec = dc_rec = None
-        for t in range(steps - 1, -1, -1):
-            xh, i_gate, f_gate, g_gate, o_gate, c_before, tanh_c = saved[t]
-            first = t == steps - 1
-            dh = d_hidden[t] if dh_rec is None else d_hidden[t] + dh_rec
+        for k in range(steps):
+            t = steps - 1 - k
+            gates = act[t]
+            i_gate = gates[..., 0 * hs : 1 * hs]
+            f_gate = gates[..., 1 * hs : 2 * hs]
+            g_gate = gates[..., 2 * hs : 3 * hs]
+            o_gate = gates[..., 3 * hs : 4 * hs]
+            tanh_ct = tanh_c[t]
+            for g in range(groups):
+                if dh_rec is None:
+                    dh[g] = d_hidden[g][t]
+                else:
+                    np.add(d_hidden[g][t], dh_rec[g], out=dh[g])
             # h tap: dh * o * (1 - tanh(c)^2) routed into dc.
-            tap = np.multiply(dh, o_gate)
-            np.multiply(tanh_c, tanh_c, out=u)
+            np.multiply(dh, o_gate, out=tap)
+            np.multiply(tanh_ct, tanh_ct, out=u)
             np.subtract(1.0, u, out=u)
             tap *= u
             dc = tap if dc_rec is None else np.add(dc_rec, tap, out=tap)
@@ -1074,7 +1176,7 @@ def lstm_sequence(
             di *= i_gate
             np.subtract(1.0, i_gate, out=s)
             di *= s
-            np.multiply(dc, c_before, out=df)
+            np.multiply(dc, cell[t], out=df)
             df *= f_gate
             np.subtract(1.0, f_gate, out=s)
             df *= s
@@ -1082,49 +1184,66 @@ def lstm_sequence(
             np.multiply(g_gate, g_gate, out=s)
             np.subtract(1.0, s, out=s)
             dg *= s
-            np.multiply(dh, tanh_c, out=do)
+            np.multiply(dh, tanh_ct, out=do)
             do *= o_gate
             np.subtract(1.0, o_gate, out=s)
             do *= s
+            # The composed path scatters each gate grad into a zeroed
+            # array, which flushes negative zeros; match it.
             dpre += 0.0
-            if weight.requires_grad:
-                np.matmul(xh.T, dpre, out=sum_dw if first else step_dw)
-                if not first:
+            # Row sums reduce like lstm_trunk's ``np.sum(axis=0)``.
+            np.add.reduce(dpre, axis=1, out=db_steps[k])
+            if want_dw:
+                xh_t = xh[t].transpose(0, 2, 1)
+                np.matmul(xh_t, dpre, out=sum_dw if k == 0 else step_dw)
+                if k:
                     sum_dw += step_dw
-            if bias.requires_grad:
-                np.sum(dpre, axis=0, out=sum_db if first else step_db)
-                if not first:
-                    sum_db += step_db
-            np.matmul(dpre, weight.data.T, out=dxh)
+            np.matmul(dpre, w_t, out=dxh)
+            d_enc[k] = dxh[..., :enc_out]
             if t > 0:
-                dh_rec = dxh[:, enc_out:]
-                dc_rec = np.multiply(dc, f_gate)
-            # Encoder tail: replay the composed tanh + affine backwards.
-            encoded = xh[:, :enc_out]
-            np.multiply(encoded, encoded, out=dpre_enc)
-            np.subtract(1.0, dpre_enc, out=dpre_enc)
-            dpre_enc *= dxh[:, :enc_out]
-            if enc_bias.requires_grad:
-                np.sum(dpre_enc, axis=0, out=sum_dbe if first else step_dbe)
-                if not first:
-                    sum_dbe += step_dbe
-            if dx is not None:
-                np.matmul(dpre_enc, enc_weight.data.T, out=dx[t])
-            if enc_weight.requires_grad:
-                np.matmul(x.data[t].T, dpre_enc, out=sum_dwe if first else step_dwe)
-                if not first:
-                    sum_dwe += step_dwe
-        if weight.requires_grad:
-            weight._accumulate(sum_dw)
-        if bias.requires_grad:
-            bias._accumulate(sum_db)
-        if enc_bias.requires_grad:
-            enc_bias._accumulate(sum_dbe)
-        if dx is not None:
-            x._accumulate(dx)
-        if enc_weight.requires_grad:
-            enc_weight._accumulate(sum_dwe)
+                dh_rec = dxh[..., enc_out:]
+                dc_rec = np.multiply(dc, f_gate, out=dc_buf)
 
-    return Tensor._from_op(
-        hidden, (x, enc_weight, enc_bias, weight, bias), sequence_backward
-    )
+        # Encoder tail over the whole sequence; _sum_steps adds per-step
+        # gradients in tape order.
+        db = _sum_steps(db_steps)
+        # tanh' = 1 - encoded^2, computed in place over the saved inputs;
+        # d_enc then becomes the encoder pre-activation gradient.
+        tanh_grad = xh[steps - 1 :: -1, :, :, :enc_out]
+        np.multiply(tanh_grad, tanh_grad, out=tanh_grad)
+        np.subtract(1.0, tanh_grad, out=tanh_grad)
+        d_enc *= tanh_grad
+        dbe = _sum_steps(np.add.reduce(d_enc, axis=2))
+        # Reverse trunk order, as G separate calls' nodes would fire.
+        for g in reversed(live):
+            x, enc_weight, enc_bias, weight, bias = trunks[g]
+            if weight.requires_grad:
+                weight._accumulate(sum_dw[g])
+            if bias.requires_grad:
+                bias._accumulate(db[g])
+            if enc_bias.requires_grad:
+                enc_bias._accumulate(dbe[g])
+            if x.requires_grad:
+                x._accumulate(np.matmul(d_enc[::-1, g], enc_weight.data.T))
+            if enc_weight.requires_grad:
+                x_t = x.data[::-1].transpose(0, 2, 1)
+                enc_weight._accumulate(_sum_steps(np.matmul(x_t, d_enc[:, g])))
+
+    leaves = tuple(v for trunk in trunks for v in trunk)
+    kernel = Tensor._from_op(hidden[0], leaves, sequence_backward)
+    outputs = [kernel]
+
+    def make_tap(g: int) -> Callable[[np.ndarray], None]:
+        def tap_backward(grad: np.ndarray) -> None:
+            stash[g] = (_backward_epoch, grad)
+            if kernel._grad_epoch != _backward_epoch:
+                # The kernel's own output got no gradient: wake it so
+                # the shared backward runs, and tell it so.
+                woken[0] = _backward_epoch
+                kernel._accumulate(np.zeros(kernel.data.shape))
+
+        return tap_backward
+
+    for g in range(1, groups):
+        outputs.append(Tensor._from_op(hidden[g], (kernel,), make_tap(g)))
+    return tuple(outputs)

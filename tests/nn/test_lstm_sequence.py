@@ -1,10 +1,11 @@
-"""Oracle tests for the whole-sequence trunk kernel ``lstm_sequence``.
+"""Oracle tests for the grouped whole-sequence trunk kernel ``lstm_sequence``.
 
 The oracle is the per-step :func:`lstm_trunk` unroll from a zero state
-followed by :func:`stack`.  The kernel must match it bit for bit: the
-forward hidden states and every accumulated parameter gradient, with a
-downstream head consuming the stacked output so the head gradient
-``dH`` is routed into every step.
+followed by :func:`stack`, once per trunk.  The kernel must match it bit
+for bit: the forward hidden states and every accumulated parameter
+gradient, with a downstream head consuming the stacked output so the
+head gradient ``dH`` is routed into every step.  The single-trunk tests
+come first; the production-shape and grouped (G = 2) tests follow.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def _oracle(xs, params: list[Tensor], workspace: dict) -> Tensor:
 def _run(xs: np.ndarray, kernel: bool, workspace: dict):
     params = [Tensor(p, requires_grad=True) for p in _params()]
     if kernel:
-        hidden = lstm_sequence(xs, *params, workspace=workspace)
+        (hidden,) = lstm_sequence((xs, *params), workspace=workspace)
     else:
         hidden = _oracle(xs, params, workspace)
     _head_loss(hidden).backward()
@@ -91,7 +92,7 @@ def test_input_gradient_matches_unroll():
     xs = _inputs(4, 2, seed=7)
     x_seq = Tensor(xs.copy(), requires_grad=True)
     params = [Tensor(p, requires_grad=True) for p in _params()]
-    _head_loss(lstm_sequence(x_seq, *params)).backward()
+    _head_loss(lstm_sequence((x_seq, *params))[0]).backward()
     x_steps = Tensor(xs.copy(), requires_grad=True)
     params = [Tensor(p, requires_grad=True) for p in _params()]
     _head_loss(_oracle(x_steps, params, {})).backward()
@@ -101,7 +102,7 @@ def test_input_gradient_matches_unroll():
 def test_records_one_node():
     """The whole sequence is one node whose parents are all leaves."""
     params = [Tensor(p, requires_grad=True) for p in _params()]
-    hidden = lstm_sequence(_inputs(6, 2, seed=4), *params)
+    (hidden,) = lstm_sequence((_inputs(6, 2, seed=4), *params))
     assert hidden.requires_grad
     assert hidden.shape == (6, 2, HIDDEN)
     assert tensor_mod._TAPE[-1]() is hidden
@@ -113,7 +114,7 @@ def test_no_grad_records_nothing():
     xs = _inputs(5, 3, seed=5)
     before = len(tensor_mod._TAPE)
     with no_grad():
-        hidden = lstm_sequence(xs, *params)
+        (hidden,) = lstm_sequence((xs, *params))
     assert len(tensor_mod._TAPE) == before
     assert not hidden.requires_grad
     assert hidden._backward is None and hidden._parents == ()
@@ -122,4 +123,225 @@ def test_no_grad_records_nothing():
 
 def test_rejects_non_sequence_input():
     with pytest.raises(ValueError):
-        lstm_sequence(np.zeros((3, FEATURES)), *_params())
+        lstm_sequence((np.zeros((3, FEATURES)), *_params()))
+
+
+# ----------------------------------------------------------------------
+# Production shapes and grouped trunks
+# ----------------------------------------------------------------------
+#: The PairUpLight trunks: E = H = 64, one 60-decision episode, actor
+#: input 8 + 1 (observation + message), critic input 32.
+PROD_E = PROD_H = 64
+PROD_T = 60
+
+
+def _trunk_params(features: int, seed: int, fortran: bool) -> list[np.ndarray]:
+    """Encoder and LSTM parameters for one trunk.  ``fortran`` stores the
+    weights column-major, as orthogonal initialisation leaves them."""
+    rng = np.random.default_rng(seed)
+    params = [
+        rng.standard_normal((features, PROD_E)) * 0.3,
+        rng.standard_normal(PROD_E) * 0.1,
+        rng.standard_normal((PROD_E + PROD_H, 4 * PROD_H)) * 0.2,
+        rng.standard_normal(4 * PROD_H) * 0.1,
+    ]
+    if fortran:
+        params[0] = np.asfortranarray(params[0])
+        params[2] = np.asfortranarray(params[2])
+    return params
+
+
+def _prod_inputs(features: int, rows: int, seed: int) -> np.ndarray:
+    """A ``(T, rows, features)`` minibatch gathered from a wider rollout
+    buffer, as ``data[:, batch]`` hands it to the kernel (not contiguous)."""
+    rng = np.random.default_rng(seed)
+    rollout = rng.standard_normal((PROD_T, 36, features))
+    return rollout[:, rng.permutation(36)[:rows]]
+
+
+def _unroll(x: Tensor, params: list[Tensor]) -> Tensor:
+    rows = x.shape[1]
+    h = np.zeros((rows, PROD_H))
+    c = np.zeros((rows, PROD_H))
+    hidden = []
+    for t in range(x.shape[0]):
+        h, c = lstm_trunk(x[t], h, c, *params, workspace={})
+        hidden.append(h)
+    return stack(hidden, axis=0)
+
+
+def _grouped_loss(hiddens) -> Tensor:
+    """Distinct downstream heads per trunk, summed into one loss."""
+    total = None
+    for g, hidden in enumerate(hiddens):
+        weight = Tensor(np.linspace(-1.0, 1.0 + g, PROD_H * 3).reshape(PROD_H, 3))
+        out = affine(hidden, weight).tanh()
+        loss = (out * out).sum()
+        total = loss if total is None else total + loss
+    return total
+
+
+def _run_group(specs, kernel: bool, workspace: dict | None = None):
+    """Run trunks ``specs`` = [(x, params)] through the kernel or the
+    per-trunk unroll; return (hidden, param grads, input grad) per trunk."""
+    xs = [Tensor(x.copy(), requires_grad=True) for x, _ in specs]
+    params = [[Tensor(p.copy(), requires_grad=True) for p in ps] for _, ps in specs]
+    if kernel:
+        hiddens = lstm_sequence(
+            *[(x, *p) for x, p in zip(xs, params)], workspace=workspace
+        )
+    else:
+        hiddens = [_unroll(x, p) for x, p in zip(xs, params)]
+    _grouped_loss(hiddens).backward()
+    return [
+        (h.data, [p.grad for p in ps], x.grad)
+        for h, ps, x in zip(hiddens, params, xs)
+    ]
+
+
+def _assert_bits(got, want):
+    """Equal shapes and bytes: bit-exact, signed zeros included."""
+    assert got is not None and want is not None
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _assert_group_bits(got, want):
+    assert len(got) == len(want)
+    for (h_got, grads_got, dx_got), (h_want, grads_want, dx_want) in zip(got, want):
+        _assert_bits(h_got, h_want)
+        assert len(grads_got) == len(grads_want) == 4
+        for grad_got, grad_want in zip(grads_got, grads_want):
+            _assert_bits(grad_got, grad_want)
+        _assert_bits(dx_got, dx_want)
+
+
+@pytest.mark.parametrize("fortran", [True, False])
+@pytest.mark.parametrize("rows", [8, 5])
+@pytest.mark.parametrize("features", [9, 32])
+def test_production_shapes_bit_exact(features, rows, fortran):
+    specs = [
+        (_prod_inputs(features, rows, seed=rows), _trunk_params(features, 1, fortran))
+    ]
+    _assert_group_bits(_run_group(specs, True, {}), _run_group(specs, False))
+
+
+@pytest.mark.parametrize("fortran", [True, False])
+@pytest.mark.parametrize("rows", [8, 5])
+def test_grouped_actor_critic_bit_exact(rows, fortran):
+    specs = [
+        (_prod_inputs(9, rows, seed=2), _trunk_params(9, 3, fortran)),
+        (_prod_inputs(32, rows, seed=4), _trunk_params(32, 5, fortran)),
+    ]
+    _assert_group_bits(_run_group(specs, True, {}), _run_group(specs, False))
+
+
+def test_grouped_ragged_minibatches_share_a_workspace():
+    workspace: dict = {}
+    for rows in (8, 3, 8, 1):
+        specs = [
+            (_prod_inputs(9, rows, seed=rows), _trunk_params(9, 6, True)),
+            (_prod_inputs(32, rows, seed=rows + 1), _trunk_params(32, 7, True)),
+        ]
+        _assert_group_bits(_run_group(specs, True, workspace), _run_group(specs, False))
+
+
+def test_grouped_records_one_kernel_node_and_taps():
+    """G = 2: one kernel node over every leaf, then one tap per further trunk."""
+    trunks = [
+        (_inputs(6, 2, seed=1), *[Tensor(p, requires_grad=True) for p in _params()]),
+        (_inputs(6, 2, seed=2), *[Tensor(p, requires_grad=True) for p in _params()]),
+    ]
+    first, second = lstm_sequence(*trunks)
+    assert first.shape == second.shape == (6, 2, HIDDEN)
+    assert tensor_mod._TAPE[-2]() is first
+    assert tensor_mod._TAPE[-1]() is second
+    assert len(first._parents) == 10
+    assert all(parent._backward is None for parent in first._parents)
+    assert second._parents == (first,)
+
+
+def test_grouped_no_grad_records_nothing():
+    trunks = [
+        (_inputs(5, 3, seed=5), *_params()),
+        (_inputs(5, 3, seed=6), *_params()),
+    ]
+    before = len(tensor_mod._TAPE)
+    workspace: dict = {}
+    with no_grad():
+        hiddens = lstm_sequence(*trunks, workspace=workspace)
+    assert len(tensor_mod._TAPE) == before
+    assert workspace == {}
+    for hidden, (xs, *_) in zip(hiddens, trunks):
+        assert not hidden.requires_grad
+        assert hidden._backward is None and hidden._parents == ()
+        assert np.array_equal(hidden.data, _run(xs, True, {})[0])
+
+
+def test_grouped_unused_trunk_accumulates_nothing():
+    """Only the second trunk feeds the loss: the first trunk's parameters
+    get no gradient, the second's match its unroll."""
+    specs = [
+        (_prod_inputs(9, 4, seed=8), _trunk_params(9, 8, True)),
+        (_prod_inputs(32, 4, seed=9), _trunk_params(32, 9, True)),
+    ]
+    params = [[Tensor(p, requires_grad=True) for p in ps] for _, ps in specs]
+    _, second = lstm_sequence(*[(x, *p) for (x, _), p in zip(specs, params)])
+    _grouped_loss([second]).backward()
+    assert all(p.grad is None for p in params[0])
+    want = [Tensor(p, requires_grad=True) for p in specs[1][1]]
+    _grouped_loss([_unroll(Tensor(specs[1][0]), want)]).backward()
+    for got, expected in zip(params[1], want):
+        _assert_bits(got.grad, expected.grad)
+
+
+def test_workspace_reuse_before_backward_raises():
+    workspace: dict = {}
+    params = [Tensor(p, requires_grad=True) for p in _params()]
+    (stale,) = lstm_sequence((_inputs(3, 2, seed=1), *params), workspace=workspace)
+    lstm_sequence((_inputs(3, 2, seed=2), *params), workspace=workspace)
+    with pytest.raises(RuntimeError):
+        _head_loss(stale).backward()
+
+
+def _mismatched_trunks():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((4, 2, FEATURES))
+    base = _params()
+    wider_encoder = [
+        rng.standard_normal((FEATURES, ENCODED + 1)),
+        np.zeros(ENCODED + 1),
+        rng.standard_normal((ENCODED + 1 + HIDDEN, 4 * HIDDEN)),
+        np.zeros(4 * HIDDEN),
+    ]
+    wider_hidden = [
+        base[0],
+        base[1],
+        rng.standard_normal((ENCODED + HIDDEN + 1, 4 * (HIDDEN + 1))),
+        np.zeros(4 * (HIDDEN + 1)),
+    ]
+    column_major = [base[0], base[1], np.asfortranarray(base[2]), base[3]]
+    return {
+        "encoder width": [(x, *base), (x, *wider_encoder)],
+        "hidden size": [(x, *base), (x, *wider_hidden)],
+        "steps": [(x, *base), (x[:3], *base)],
+        "rows": [(x, *base), (x[:, :1], *base)],
+        "weight memory order": [(x, *base), (x, *column_major)],
+        "no trunks": [],
+        "short trunk": [(x, *base[:3])],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_mismatched_trunks()))
+def test_rejects_mismatched_trunks(case):
+    with pytest.raises(ValueError):
+        lstm_sequence(*_mismatched_trunks()[case])
+
+
+def test_second_backward_through_the_kernel_raises():
+    params = [Tensor(p, requires_grad=True) for p in _params()]
+    (hidden,) = lstm_sequence((_inputs(3, 2, seed=3), *params), workspace={})
+    loss = _head_loss(hidden)
+    loss.backward()
+    with pytest.raises(RuntimeError):
+        loss.backward()

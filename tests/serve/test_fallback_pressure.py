@@ -4,10 +4,17 @@ On a plain ``DetectorSuite`` the fallback sums this tick's
 ``_bulk_mp`` through a per-node ``(phase, movement)`` index memoized on
 the network; it must pick exactly what the per-movement reference loop
 picks (first maximum, ``-inf`` start).  Fault-injecting suites keep the
-per-movement reads, whose every call may draw RNG.
+per-movement reads, whose every call may draw RNG.  Both paths sum a
+phase's pressures in sorted movement order, so a serve run reads the
+same waits in every process, whatever its string-hash seed.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -27,7 +34,7 @@ def _reference(env, node_id: str) -> int:
     for index, phase in enumerate(env.phase_plans[node_id].phases):
         pressure = sum(
             env.detectors.movement_pressure(env.network.movements[key])
-            for key in phase.green_movements
+            for key in sorted(phase.green_movements)
         )
         if pressure > best_pressure:
             best_index, best_pressure = index, pressure
@@ -103,3 +110,47 @@ def test_memo_follows_the_plan_object():
     assert controller.action(env, node_id) == _reference(env, node_id)
     env.phase_plans = {**env.phase_plans, node_id: plan}
     assert controller.action(env, node_id) == before
+
+
+#: A tiny closed-loop serve run where every controller is dead, so each
+#: decision is the max-pressure fallback; prints its average wait.
+_SERVE_RUN = textwrap.dedent(
+    """
+    from repro.agents.pairuplight import PairUpLightSystem
+    from repro.eval.harness import ExperimentScale, GridExperiment
+    from repro.faults.config import FaultConfig
+    from repro.serve import ControlService, PolicyRuntime, ServeConfig
+
+    scale = ExperimentScale(
+        rows=3, cols=3, peak_rate=1500.0, t_peak=60.0, light_duration=120.0,
+        horizon_ticks=150, max_ticks=3600, train_episodes=1, eval_episodes=1,
+    )
+    faults = FaultConfig(controller_failure=1.0)
+    env = GridExperiment(scale, seed=3).train_env(1, faults=faults)
+    runtime = PolicyRuntime(lambda: PairUpLightSystem(env, seed=0))
+    service = ControlService(env, runtime, ServeConfig(deadline_ms=10_000))
+    observations = service.start_episode(seed=3)
+    waits = []
+    for _ in range(150):
+        result = env.step(service.decide(observations))
+        waits.append(result.info["average_wait"])
+        if result.done:
+            break
+        observations = result.observations
+    assert service.health.controller_faults > 0
+    print(repr(sum(waits) / len(waits)))
+    """
+)
+
+
+def test_serve_waits_do_not_depend_on_string_hashing():
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    waits = set()
+    for hash_seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _SERVE_RUN],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        waits.add(run.stdout.strip())
+    assert len(waits) == 1, waits
