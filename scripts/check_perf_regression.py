@@ -1,192 +1,86 @@
 #!/usr/bin/env python
-"""CI perf gate: fail when measured throughput drops >20% vs the committed
-``benchmarks/BENCH_*.json`` files (engine ticks/s, batched SoA-engine
-aggregate ticks/s, train env-steps/s, fused PPO-update steps/s, serve
-intersections/s, and the sharded-simulation same-run speedup ratio).
+"""CI perf gate: perfbench against its committed baseline.
 
-Run from the repository root::
+Runs ``perfbench/run.py --workload all --seed 1`` three times at
+``BENCHMARK.json``'s ``run_seconds``, prints every end-to-end metric's
+ratio to ``benchmarks/perfbench_baseline.json`` (five runs at the same
+seed and length; medians on both sides) and exits 1 unless every run is
+correct with zero failed operations and each ratio stays within the
+metric's ``bound`` in its ``better`` direction.  perfbench pins BLAS to
+one thread and host-scales its CPU clocks.  From the repository root::
 
-    PYTHONPATH=src python scripts/check_perf_regression.py
+    python scripts/check_perf_regression.py
 
-Exit code 0 = within budget, 1 = regression, 2 = baseline missing.
-Missing baselines are detected for *all* enabled gates up front — every
-absent file is reported and the script exits 2 before any benchmark
-runs, so a misconfigured CI job fails in milliseconds instead of after
-minutes of benching.
+Refresh the baseline only in a change whose benchmark result shows a
+gain, on the host whose CI runs this gate::
+
+    for i in 1 2 3 4 5; do
+        python3 perfbench/run.py --workload all --seed 1 --seconds 32 | tail -n 1
+    done | python3 -c 'import json, sys; json.dump([json.loads(line) for line in sys.stdin], sys.stdout, indent=1)' > benchmarks/perfbench_baseline.json
 """
 
 from __future__ import annotations
 
-import argparse
+import json
 import os
+import statistics
+import subprocess
 import sys
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-)
-
-from repro.perf.regression import (
-    BATCHED_TRAIN_THRESHOLD,
-    DEFAULT_THRESHOLD,
-    SHARDED_THRESHOLD,
-    check_batched_train_regression,
-    check_engine_regression,
-    check_engine_soa_regression,
-    check_serve_regression,
-    check_sharded_regression,
-    check_train_regression,
-    check_update_regression,
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SPEC = os.path.join(ROOT, "BENCHMARK.json")
+BASELINE = os.path.join(ROOT, "benchmarks", "perfbench_baseline.json")
+RUNS = 3
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--baseline",
-        default=os.path.join("benchmarks", "BENCH_engine.json"),
-        help="committed engine benchmark file to gate against",
-    )
-    parser.add_argument(
-        "--engine-soa-baseline",
-        default=os.path.join("benchmarks", "BENCH_engine_soa.json"),
-        help="committed batched SoA engine benchmark file to gate against",
-    )
-    parser.add_argument(
-        "--train-baseline",
-        default=os.path.join("benchmarks", "BENCH_train.json"),
-        help="committed train benchmark file to gate against",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        default=os.path.join("benchmarks", "BENCH_update.json"),
-        help="committed update benchmark file to gate against",
-    )
-    parser.add_argument(
-        "--serve-baseline",
-        default=os.path.join("benchmarks", "BENCH_serve.json"),
-        help="committed serve benchmark file to gate against",
-    )
-    parser.add_argument(
-        "--sharded-baseline",
-        default=os.path.join("benchmarks", "BENCH_sharded.json"),
-        help="committed sharded-simulation benchmark file to gate against",
-    )
-    parser.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    parser.add_argument(
-        "--sharded-threshold",
-        type=float,
-        default=SHARDED_THRESHOLD,
-        help="allowed drop for the sharded speedup ratio (noisier than "
-        "the throughput gates, so its floor is looser)",
-    )
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument(
-        "--skip-engine-soa",
-        action="store_true",
-        help="skip the batched SoA engine benchmark gate",
-    )
-    parser.add_argument(
-        "--skip-train", action="store_true", help="skip the train benchmark gate"
-    )
-    parser.add_argument(
-        "--skip-batched-train",
-        action="store_true",
-        help="skip the batched-train speedup gate",
-    )
-    parser.add_argument(
-        "--batched-train-threshold",
-        type=float,
-        default=BATCHED_TRAIN_THRESHOLD,
-        help="allowed drop for the batched-vs-serial train speedup ratio",
-    )
-    parser.add_argument(
-        "--skip-update", action="store_true", help="skip the update benchmark gate"
-    )
-    parser.add_argument(
-        "--skip-serve", action="store_true", help="skip the serve benchmark gate"
-    )
-    parser.add_argument(
-        "--skip-sharded",
-        action="store_true",
-        help="skip the sharded-simulation benchmark gate",
-    )
-    args = parser.parse_args(argv)
+def run_perfbench(seconds: int) -> dict:
+    """One ``--workload all`` run's closing JSON object."""
+    command = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
+               "--workload", "all", "--seed", "1", "--seconds", str(seconds)]
+    lines = subprocess.run(command, cwd=ROOT, capture_output=True, text=True).stdout.splitlines()
+    return json.loads(lines[-1]) if lines else {"correct": False, "failed": -1, "metrics": {}}
 
-    gates: list[tuple[str, object]] = [
-        (
-            args.baseline,
-            lambda path: check_engine_regression(
-                path, threshold=args.threshold, repeats=args.repeats
-            ),
-        )
-    ]
-    if not args.skip_engine_soa:
-        gates.append(
-            (
-                args.engine_soa_baseline,
-                lambda path: check_engine_soa_regression(
-                    path, threshold=args.threshold
-                ),
-            )
-        )
-    if not args.skip_train:
-        gates.append(
-            (
-                args.train_baseline,
-                lambda path: check_train_regression(path, threshold=args.threshold),
-            )
-        )
-    if not args.skip_batched_train:
-        # Same baseline file as the train gate: the batched section of
-        # BENCH_train.json carries the same-run speedup ratio.
-        gates.append(
-            (
-                args.train_baseline,
-                lambda path: check_batched_train_regression(
-                    path, threshold=args.batched_train_threshold
-                ),
-            )
-        )
-    if not args.skip_update:
-        gates.append(
-            (
-                args.update_baseline,
-                lambda path: check_update_regression(path, threshold=args.threshold),
-            )
-        )
-    if not args.skip_serve:
-        gates.append(
-            (
-                args.serve_baseline,
-                lambda path: check_serve_regression(path, threshold=args.threshold),
-            )
-        )
-    if not args.skip_sharded:
-        gates.append(
-            (
-                args.sharded_baseline,
-                lambda path: check_sharded_regression(
-                    path, threshold=args.sharded_threshold
-                ),
-            )
-        )
 
-    # Every enabled gate's baseline is checked before any benchmark runs:
-    # uniform exit 2, every absent file named.
-    missing = [path for path, _ in gates if not os.path.exists(path)]
-    if missing:
-        for path in missing:
-            print(f"error: baseline file {path!r} not found", file=sys.stderr)
-        return 2
+def check(runs: list, baseline: list, spec: dict) -> tuple[list, list]:
+    """``(report lines, failures)`` of ``runs`` against ``baseline``."""
+    failures = [f"run {i}: correct={run['correct']} failed={run['failed']}"
+                for i, run in enumerate(runs, 1) if not run["correct"] or run["failed"]]
+    report = []
+    for workload in spec["workloads"]:
+        for metric in spec["end_to_end"]:
+            name = f"{workload['name']}/{metric['name']}"
+            base = [run["metrics"][name]["value"] for run in baseline if name in run["metrics"]]
+            live = [run["metrics"][name]["value"] for run in runs if name in run["metrics"]]
+            if len(base) < len(baseline) or len(live) < len(runs) or not base:
+                failures.append(f"{name}: missing")
+                continue
+            base, live = statistics.median(base), statistics.median(live)
+            if metric["better"] == "higher":
+                ok = live >= base * (1.0 - metric["bound"])
+            else:
+                ok = live <= base * (1.0 + metric["bound"])
+            line = (f"{name:<36} {live:>12.6g} / {base:>12.6g} = {live / base:6.3f}"
+                    f"  ({metric['better']} better, bound {metric['bound']})")
+            report.append(line + ("" if ok else "  REGRESSION"))
+            if not ok:
+                failures.append(line)
+    return report, failures
 
-    exit_code = 0
-    for path, check in gates:
-        verdict = check(path)
-        print(verdict.summary())
-        if not verdict.ok:
-            exit_code = 1
-    return exit_code
+
+def main() -> int:
+    with open(SPEC) as handle:
+        spec = json.load(handle)
+    with open(BASELINE) as handle:
+        baseline = json.load(handle)
+    runs = [run_perfbench(spec["run_seconds"]) for _ in range(RUNS)]
+    report, failures = check(runs, baseline, spec)
+    print("\n".join(report))
+    for failure in failures:
+        print(f"FAIL {failure}")
+    print(f"perf gate: {'FAILED' if failures else 'OK'} "
+          f"(median of {len(runs)} runs vs median of {len(baseline)} baseline runs)")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    sys.exit(main())

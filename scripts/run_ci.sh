@@ -3,17 +3,17 @@
 #   1. the default test suite (pytest.ini excludes -m perf),
 #   2. the serve suite explicitly (fault-tolerant control service,
 #      including the fault-schedule soak smoke test),
-#   3. the sharded suite explicitly (city-scale construction and
-#      scaling-curve smokes, excluded from tier-1 for runtime),
+#   3. the sharded suite explicitly (city-scale construction smokes and
+#      the K=8 vs K=1 same-run scaling gate, excluded from tier-1 for
+#      runtime),
 #   4. the scenario fuzz stage: the seeded spec fuzzer widened to 50
 #      distinct scenarios (tier-1 runs 8), every one driven through the
 #      object fast/slow and SoA engines with conservation/round-trip
 #      property checks and a fixed per-case time budget,
-#   5. the perf-regression gates (engine ticks/s, batched SoA aggregate
-#      ticks/s, train env-steps/s, batched-vs-serial train speedup at
-#      B=8 (same-run ratio), fused PPO-update steps/s, serve
-#      intersections/s, sharded same-run speedup — each vs its
-#      committed BENCH_*.json),
+#   5. the perf gate: three perfbench runs of every workload, each
+#      end-to-end metric's median within its BENCHMARK.json bound of the
+#      committed benchmarks/perfbench_baseline.json (perfbench pins BLAS
+#      to one thread and host-scales its CPU clocks),
 #   6. the benchmark's own self-tests (perfbench/: metric coverage,
 #      correctness checks and tracing, at tiny sizes),
 #   7. the lockstep routing stage: one short traced 6x6 B=8 shared
@@ -43,15 +43,15 @@ python -m pytest
 echo "== serve suite (control service + soak smoke) =="
 python -m pytest -m serve
 
-echo "== sharded suite (city-scale smokes) =="
+echo "== sharded suite (city-scale smokes + same-run scaling gate) =="
 python -m pytest -m sharded
 
 echo "== scenario fuzz stage (50 fuzzed specs, fixed seed, per-case budget) =="
 REPRO_FUZZ_CASES=50 REPRO_FUZZ_SEED=20260808 REPRO_FUZZ_CASE_BUDGET_S=30 \
     python -m pytest tests/scenarios/test_fuzz_zoo.py -q
 
-echo "== perf regression gates (engine / engine_soa / train / batched-train / update / serve / sharded) =="
-python scripts/check_perf_regression.py --engine-soa-baseline benchmarks/BENCH_engine_soa.json
+echo "== perf gate (perfbench, median of 3 runs vs committed baseline) =="
+python scripts/check_perf_regression.py
 
 echo "== benchmark self-tests (perfbench) =="
 python -m pytest perfbench -q

@@ -52,7 +52,7 @@ class MaxPressureSystem(AgentSystem):
             for index, phase in enumerate(plan.phases):
                 pressure = sum(
                     env.detectors.movement_pressure(env.network.movements[key])
-                    for key in phase.green_movements
+                    for key in phase.green_order
                 )
                 if pressure > best_pressure:
                     best_index, best_pressure = index, pressure

@@ -13,7 +13,7 @@ import numpy as np
 from repro.nn.linear import Linear
 from repro.nn.lstm import LSTMCell
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, concat, lstm_trunk, stack
+from repro.nn.tensor import Tensor, concat, lstm_trunk
 
 
 class CoordinatedActor(Module):
@@ -26,7 +26,6 @@ class CoordinatedActor(Module):
         message_dim: int = 1,
         hidden_size: int = 64,
         rng: np.random.Generator | None = None,
-        fused: bool = True,
     ) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
@@ -34,13 +33,12 @@ class CoordinatedActor(Module):
         self.num_phases = num_phases
         self.message_dim = message_dim
         self.hidden_size = hidden_size
-        self.fused = bool(fused)
         self._trunk_workspace: dict = {}
-        self.encoder = Linear(obs_dim + message_dim, hidden_size, rng, fused=fused)
-        self.lstm = LSTMCell(hidden_size, hidden_size, rng, fused=fused)
+        self.encoder = Linear(obs_dim + message_dim, hidden_size, rng)
+        self.lstm = LSTMCell(hidden_size, hidden_size, rng)
         # Small-gain heads: near-uniform initial policy, near-zero messages.
-        self.policy_head = Linear(hidden_size, num_phases, rng, gain=0.01, fused=fused)
-        self.message_head = Linear(hidden_size, message_dim, rng, gain=0.01, fused=fused)
+        self.policy_head = Linear(hidden_size, num_phases, rng, gain=0.01)
+        self.message_head = Linear(hidden_size, message_dim, rng, gain=0.01)
 
     def initial_state(self, batch: int = 1) -> tuple[np.ndarray, np.ndarray]:
         return self.lstm.initial_state(batch)
@@ -55,27 +53,24 @@ class CoordinatedActor(Module):
 
         Returns ``(hidden, new_state)``.  The policy/message heads are
         position-wise, so a whole sequence's hidden states (see
-        :meth:`sequence_hidden`) can go through each head once as a
+        :meth:`sequence_trunk`) can go through each head once as a
         stacked ``(horizon, batch, hidden)`` tensor.
         """
         obs = Tensor.ensure(obs)
         incoming_message = Tensor.ensure(incoming_message)
         x = concat([obs, incoming_message], axis=-1)
-        if self.fused:
-            h_prev, c_prev = state
-            h_new, c_new = lstm_trunk(
-                x,
-                h_prev,
-                c_prev,
-                self.encoder.weight,
-                self.encoder.bias,
-                self.lstm.weight,
-                self.lstm.bias,
-                workspace=self._trunk_workspace,
-            )
-            return h_new, (h_new, c_new)
-        encoded = self.encoder(x).tanh()
-        return self.lstm(encoded, state)
+        h_prev, c_prev = state
+        h_new, c_new = lstm_trunk(
+            x,
+            h_prev,
+            c_prev,
+            self.encoder.weight,
+            self.encoder.bias,
+            self.lstm.weight,
+            self.lstm.bias,
+            workspace=self._trunk_workspace,
+        )
+        return h_new, (h_new, c_new)
 
     def sequence_trunk(
         self,
@@ -93,26 +88,6 @@ class CoordinatedActor(Module):
             self.lstm.weight,
             self.lstm.bias,
         )
-
-    def sequence_hidden(
-        self,
-        obs_seq: Tensor | np.ndarray,
-        incoming_seq: Tensor | np.ndarray,
-    ) -> Tensor:
-        """Composed recurrent trunk over a whole ``(horizon, batch, ·)``
-        sequence: unrolls :meth:`step_hidden` from the zero initial state
-        and stacks the ``(horizon, batch, hidden)`` hidden states.  The
-        ``fused=False`` update path; fused networks run
-        :meth:`sequence_trunk` through the grouped kernel instead.
-        """
-        obs_seq = Tensor.ensure(obs_seq)
-        incoming_seq = Tensor.ensure(incoming_seq)
-        state = self.initial_state(obs_seq.shape[1])
-        hidden = []
-        for t in range(obs_seq.shape[0]):
-            h, state = self.step_hidden(obs_seq[t], incoming_seq[t], state)
-            hidden.append(h)
-        return stack(hidden, axis=0)
 
     def forward(
         self,

@@ -80,16 +80,6 @@ class PairUpLightConfig:
     message_decay: float = 0.5
     #: Staleness (consecutive losses) beyond which the agent self-pairs.
     max_staleness: int = 3
-    #: Use the fused single-kernel LSTM/affine ops in the actor and
-    #: critic (bit-exact with the composed op chain; ``False`` runs the
-    #: composed path for ablations and equivalence testing).
-    fused: bool = True
-    #: Re-evaluate sequences with the pre-fusion per-step head loop
-    #: (log-softmax/entropy/value computed inside the unroll instead of
-    #: once over the stacked hidden states).  Slower; kept as the
-    #: reference update path that ``bench_update`` measures its speedup
-    #: against, and as an evaluator-structure ablation.
-    stepwise_eval: bool = False
     ppo: PPOConfig = field(default_factory=PPOConfig)
 
     def __post_init__(self) -> None:
@@ -145,10 +135,9 @@ class PairUpLightSystem(AgentSystem):
                 cfg.message_dim,
                 cfg.hidden_size,
                 net_rng,
-                fused=cfg.fused,
             )
             self.shared_critic: CentralizedCritic | None = CentralizedCritic(
-                feat_dim, cfg.hidden_size, net_rng, fused=cfg.fused
+                feat_dim, cfg.hidden_size, net_rng
             )
             self._unique_actors = [self.shared_actor]
             self._unique_critics = [self.shared_critic]
@@ -166,13 +155,11 @@ class PairUpLightSystem(AgentSystem):
                     cfg.message_dim,
                     cfg.hidden_size,
                     net_rng,
-                    fused=cfg.fused,
                 )
                 self.critics[agent_id] = CentralizedCritic(
                     self.feature_builder.feature_dim(agent_id),
                     cfg.hidden_size,
                     net_rng,
-                    fused=cfg.fused,
                 )
             self._unique_actors = [self.actors[a] for a in self.agent_ids]
             self._unique_critics = [self.critics[a] for a in self.agent_ids]
@@ -493,8 +480,6 @@ class PairUpLightSystem(AgentSystem):
     ) -> tuple[Tensor, Tensor, Tensor]:
         """PPO re-evaluation over stored sequences (see module docstring)."""
         if self.config.parameter_sharing:
-            if self.config.stepwise_eval:
-                return self._evaluate_shared_stepwise(data, batch)
             return self._evaluate_shared(data, batch)
         columns = [self._evaluate_single(data, int(index)) for index in batch]
         logprobs = stack([c[0] for c in columns], axis=1)
@@ -510,11 +495,10 @@ class PairUpLightSystem(AgentSystem):
         actor = self.shared_actor
         critic = self.shared_critic
         batch = np.asarray(batch, dtype=np.int64)
-        # Only the LSTM trunks are inherently sequential.  Fused, both
-        # run over the whole (horizon, batch) sequence in one grouped
-        # kernel call — one time loop, one trunk node for both networks;
-        # composed, each network unrolls its own.  Every head (policy,
-        # message, value, log-softmax, entropy, gather) then runs ONCE
+        # Only the LSTM trunks are inherently sequential.  Both run over
+        # the whole (horizon, batch) sequence in one grouped kernel call —
+        # one time loop, one trunk node for both networks.  Every head
+        # (policy, message, value, log-softmax, entropy, gather) runs ONCE
         # over the stacked (horizon, batch, hidden) states.  All head ops
         # operate position-wise / reduce along the last axis only, so the
         # result is element-for-element identical to the per-step
@@ -522,15 +506,11 @@ class PairUpLightSystem(AgentSystem):
         obs_seq = data["obs"][:, batch]
         msg_seq = data["msg_in"][:, batch]
         feat_seq = data["critic_feat"][:, batch]
-        if cfg.fused:
-            actor_seq, critic_seq = lstm_sequence(
-                actor.sequence_trunk(obs_seq, msg_seq),
-                critic.sequence_trunk(feat_seq),
-                workspace=self._sequence_workspace,
-            )
-        else:
-            actor_seq = actor.sequence_hidden(obs_seq, msg_seq)
-            critic_seq = critic.sequence_hidden(feat_seq)
+        actor_seq, critic_seq = lstm_sequence(
+            actor.sequence_trunk(obs_seq, msg_seq),
+            critic.sequence_trunk(feat_seq),
+            workspace=self._sequence_workspace,
+        )
         logits = actor.policy_head(actor_seq)
         log_probs = F.log_softmax(logits)
         probs = F.softmax(logits)
@@ -543,47 +523,6 @@ class PairUpLightSystem(AgentSystem):
         entropies = F.entropy(probs)
         values = critic.value_head(critic_seq).reshape(horizon, len(batch))
         return step_logprobs, entropies, values
-
-    def _evaluate_shared_stepwise(
-        self, data: dict[str, np.ndarray], batch: np.ndarray
-    ) -> tuple[Tensor, Tensor, Tensor]:
-        """Pre-fusion reference evaluator: heads computed inside the unroll.
-
-        Numerically this matches :meth:`_evaluate_shared` (every head op
-        is position-wise), but it pays the per-step graph cost the fused
-        update path was built to remove; ``repro.perf.bench_update``
-        measures its speedup against this path.
-        """
-        cfg = self.config
-        horizon = data["obs"].shape[0]
-        actor = self.shared_actor
-        critic = self.shared_critic
-        batch = np.asarray(batch, dtype=np.int64)
-        a_state = actor.initial_state(len(batch))
-        c_state = critic.initial_state(len(batch))
-        logprob_steps: list[Tensor] = []
-        entropy_steps: list[Tensor] = []
-        value_steps: list[Tensor] = []
-        for t in range(horizon):
-            logits, msg_mean, a_state = actor(
-                data["obs"][t, batch], data["msg_in"][t, batch], a_state
-            )
-            log_probs = F.log_softmax(logits)
-            probs = F.softmax(logits)
-            step_logprob = F.gather(log_probs, data["action"][t, batch])
-            if cfg.communicate:
-                step_logprob = step_logprob + _gaussian_logprob(
-                    data["raw_msg"][t, batch], msg_mean, cfg.sigma
-                )
-            logprob_steps.append(step_logprob)
-            entropy_steps.append(F.entropy(probs))
-            value, c_state = critic(data["critic_feat"][t, batch], c_state)
-            value_steps.append(value)
-        return (
-            stack(logprob_steps, axis=0),
-            stack(entropy_steps, axis=0),
-            stack(value_steps, axis=0),
-        )
 
     def _evaluate_single(
         self, data: dict[str, np.ndarray], index: int

@@ -20,7 +20,7 @@ from repro.env.tsc_env import TrafficSignalEnv
 from repro.nn.linear import Linear
 from repro.nn.lstm import LSTMCell
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, lstm_trunk, stack
+from repro.nn.tensor import Tensor, lstm_trunk
 
 #: Feature slots for one-hop neighbours (N/E/S/W of a grid interior node).
 ONE_HOP_SLOTS = 4
@@ -110,17 +110,15 @@ class CentralizedCritic(Module):
         feature_dim: int,
         hidden_size: int = 64,
         rng: np.random.Generator | None = None,
-        fused: bool = True,
     ) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
         self.feature_dim = feature_dim
         self.hidden_size = hidden_size
-        self.fused = bool(fused)
         self._trunk_workspace: dict = {}
-        self.encoder = Linear(feature_dim, hidden_size, rng, fused=fused)
-        self.lstm = LSTMCell(hidden_size, hidden_size, rng, fused=fused)
-        self.value_head = Linear(hidden_size, 1, rng, gain=1.0, fused=fused)
+        self.encoder = Linear(feature_dim, hidden_size, rng)
+        self.lstm = LSTMCell(hidden_size, hidden_size, rng)
+        self.value_head = Linear(hidden_size, 1, rng, gain=1.0)
 
     def initial_state(self, batch: int = 1) -> tuple[np.ndarray, np.ndarray]:
         return self.lstm.initial_state(batch)
@@ -133,22 +131,18 @@ class CentralizedCritic(Module):
         Returns ``(hidden, new_state)``; the value head is position-wise
         and can be applied once to a stacked hidden sequence.
         """
-        features = Tensor.ensure(features)
-        if self.fused:
-            h_prev, c_prev = state
-            h_new, c_new = lstm_trunk(
-                features,
-                h_prev,
-                c_prev,
-                self.encoder.weight,
-                self.encoder.bias,
-                self.lstm.weight,
-                self.lstm.bias,
-                workspace=self._trunk_workspace,
-            )
-            return h_new, (h_new, c_new)
-        encoded = self.encoder(features).tanh()
-        return self.lstm(encoded, state)
+        h_prev, c_prev = state
+        h_new, c_new = lstm_trunk(
+            Tensor.ensure(features),
+            h_prev,
+            c_prev,
+            self.encoder.weight,
+            self.encoder.bias,
+            self.lstm.weight,
+            self.lstm.bias,
+            workspace=self._trunk_workspace,
+        )
+        return h_new, (h_new, c_new)
 
     def sequence_trunk(self, feature_seq: Tensor | np.ndarray) -> tuple:
         """This network's :func:`repro.nn.tensor.lstm_sequence` trunk over
@@ -161,18 +155,6 @@ class CentralizedCritic(Module):
             self.lstm.weight,
             self.lstm.bias,
         )
-
-    def sequence_hidden(self, feature_seq: Tensor | np.ndarray) -> Tensor:
-        """Composed recurrent trunk over a whole ``(horizon, batch,
-        features)`` sequence from the zero initial state; see
-        :meth:`CoordinatedActor.sequence_hidden`."""
-        feature_seq = Tensor.ensure(feature_seq)
-        state = self.initial_state(feature_seq.shape[1])
-        hidden = []
-        for t in range(feature_seq.shape[0]):
-            h, state = self.step_hidden(feature_seq[t], state)
-            hidden.append(h)
-        return stack(hidden, axis=0)
 
     def forward(
         self, features: Tensor | np.ndarray, state: tuple

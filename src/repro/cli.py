@@ -29,9 +29,6 @@ Commands
     into K contiguous shards, one persistent worker process per shard,
     lockstep ticks with boundary vehicle handoffs, and report partition
     stats, throughput and the vehicle-conservation check.
-``bench``
-    Run the engine / training / serving / sharded throughput benchmarks
-    and write ``BENCH_*.json`` files for the perf regression gate.
 ``zoo``
     Scenario-zoo tooling: list the seeded demand-scenario catalogue and
     print or export the spec JSON the ``--scenario`` flags consume
@@ -431,73 +428,6 @@ def cmd_sharded(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import write_benchmarks
-
-    written = write_benchmarks(args.out, which=args.which)
-    for name, path in written.items():
-        with open(path) as handle:
-            payload = json.load(handle)
-        if name == "engine":
-            print(
-                f"engine: {payload['ticks_per_second']} ticks/s "
-                f"({payload['speedup_vs_baseline']}x baseline) -> {path}"
-            )
-        elif name == "engine_soa":
-            print(
-                f"engine_soa: {payload['aggregate_ticks_per_second']} "
-                f"aggregate ticks/s over {payload['batch']} replicas "
-                f"({payload['speedup_vs_object_same_run']}x object engine "
-                f"in the same run) -> {path}"
-            )
-        elif name == "update":
-            print(
-                f"update: {payload['update_steps_per_second']} minibatch-steps/s fused "
-                f"vs {payload['composed_update_steps_per_second']} composed "
-                f"({payload['speedup_fused_vs_composed']}x) "
-                f"vs {payload['baseline']['update_steps_per_second']} pre-change "
-                f"({payload['speedup_fused_vs_baseline']}x) -> {path}"
-            )
-        elif name == "serve":
-            print(
-                f"serve: {payload['intersections_per_second']} intersections/s, "
-                f"p99 {payload['p99_latency_ms']} ms, "
-                f"{payload['unserved_ticks']} unserved, "
-                f"reloads {payload['reloads']['applied']} applied / "
-                f"{payload['reloads']['rejected']} rejected -> {path}"
-            )
-        elif name == "sharded":
-            curve = ", ".join(
-                f"{point['num_shards']}: {point['ticks_per_second']}"
-                for point in payload["curve"]
-            )
-            print(
-                f"sharded: ticks/s by shard count {{{curve}}}, "
-                f"{payload['speedup_max_shards_vs_serial_same_run']}x "
-                f"max-shards vs serial (same run, "
-                f"{payload['cpu_count']} cpu) -> {path}"
-            )
-        else:
-            print(
-                f"train: {payload['env_steps_per_second']} env-steps/s, "
-                f"{payload['agent_steps_per_second']} agent-steps/s, "
-                f"update {payload['update_seconds_per_episode']} s/episode "
-                f"({payload['speedup_vs_baseline']}x baseline) -> {path}"
-            )
-            batched = payload.get("batched")
-            if batched:
-                speedup = batched.get("speedup_vs_serial_same_run")
-                suffix = (
-                    f" ({speedup}x serial, same run)" if speedup else ""
-                )
-                print(
-                    f"  batched: {batched['aggregate_env_steps_per_second']} "
-                    f"aggregate env-steps/s over {batched['batch']} "
-                    f"lockstep replicas{suffix}"
-                )
-    return 0
-
-
 def cmd_obs(args: argparse.Namespace) -> int:
     from repro.obs.report import export_run_csv, render_report, tail_events
 
@@ -713,19 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sharded.add_argument("--telemetry-dir", type=str, default="",
                            help="write shard telemetry (events.jsonl) here")
     p_sharded.set_defaults(func=cmd_sharded)
-
-    p_bench = subparsers.add_parser(
-        "bench", help="run throughput benchmarks, write BENCH_*.json"
-    )
-    p_bench.add_argument(
-        "--which",
-        choices=(
-            "all", "engine", "engine_soa", "train", "update", "serve", "sharded"
-        ),
-        default="all",
-    )
-    p_bench.add_argument("--out", type=str, default="benchmarks")
-    p_bench.set_defaults(func=cmd_bench)
 
     p_obs = subparsers.add_parser(
         "obs", help="telemetry run-directory tooling (report / tail)"

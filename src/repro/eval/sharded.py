@@ -4,7 +4,8 @@ Thin orchestration over :mod:`repro.sim.sharded`: build the grid
 workload (network, phase plans, demand pattern), run one sharded
 episode under the chosen controller and return an aggregate summary
 with wall-clock throughput.  This is what the ``sharded`` CLI
-subcommand and the scaling-curve benchmark drive.
+subcommand drives; the sharded suite's scaling gate builds its grid
+with :func:`sharded_grid_workload`.
 """
 
 from __future__ import annotations

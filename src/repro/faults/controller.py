@@ -86,7 +86,7 @@ class FallbackController:
             phase_pressures = (
                 sum(
                     detectors.movement_pressure(env.network.movements[key])
-                    for key in _green_order(phase)
+                    for key in phase.green_order
                 )
                 for phase in plan.phases
             )
@@ -98,22 +98,9 @@ class FallbackController:
         return best_index
 
 
-def _green_order(phase) -> list:
-    """``phase``'s green movements in one stable order: sorted keys.
-
-    A phase's pressure is a float sum over its green set, so its bits
-    depend on the summation order.  A ``frozenset`` of string-keyed
-    movements iterates in an order that follows per-process string
-    hashing (``PYTHONHASHSEED``); both fallback branches therefore sum
-    in this order instead, and the fallback picks the same phase in
-    every process.
-    """
-    return sorted(phase.green_movements)
-
-
 def _phase_movements(detectors, node_id: str, plan) -> tuple[tuple[int, ...], ...]:
     """Per phase of ``plan``, the bulk movement rows of its green set, in
-    :func:`_green_order`; memoized on the detectors' network per node
+    ``Phase.green_order``; memoized on the detectors' network per node
     (checked against the plan object, which the memo keeps)."""
     memo = detectors.sim.network.detector_memo.setdefault("fallback_phases", {})
     entry = memo.get(node_id)
@@ -122,7 +109,7 @@ def _phase_movements(detectors, node_id: str, plan) -> tuple[tuple[int, ...], ..
         entry = memo[node_id] = (
             plan,
             tuple(
-                tuple(mv_index[key] for key in _green_order(phase))
+                tuple(mv_index[key] for key in phase.green_order)
                 for phase in plan.phases
             ),
         )

@@ -26,10 +26,10 @@ class Linear(Module):
         and small gains (0.01) for policy output heads.
     bias:
         Whether to learn an additive bias.
-    fused:
-        Run through the single-node :func:`repro.nn.tensor.affine` op
-        (default) instead of the composed matmul + add pair; both paths
-        are bit-exact in forwards and gradients.
+
+    The forward is the single-node :func:`repro.nn.tensor.affine` op,
+    bit-exact with the composed matmul + add pair in forwards and
+    gradients.
     """
 
     def __init__(
@@ -40,14 +40,12 @@ class Linear(Module):
         init: str = "orthogonal",
         gain: float = float(np.sqrt(2.0)),
         bias: bool = True,
-        fused: bool = True,
     ) -> None:
         super().__init__()
         if in_features <= 0 or out_features <= 0:
             raise ValueError("Linear sizes must be positive")
         self.in_features = in_features
         self.out_features = out_features
-        self.fused = bool(fused)
         self.weight = Parameter(initialize(init, (in_features, out_features), rng, gain))
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
@@ -57,12 +55,7 @@ class Linear(Module):
             raise ValueError(
                 f"Linear expected last dim {self.in_features}, got {x.shape[-1]}"
             )
-        if self.fused:
-            return affine(x, self.weight, self.bias)
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return affine(x, self.weight, self.bias)
 
 
 class Tanh(Module):

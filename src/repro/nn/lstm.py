@@ -3,12 +3,11 @@
 Both networks in Fig. 5 of the paper carry a recurrent hidden state
 (`h_{t,pi}` for the actor, `h_{t,V}` for the critic); this module provides
 the single-step cell those networks need, and holds its parameters.  The
-cell itself only steps.  Whole sequences are run by the PPO update: fused
+cell itself only steps.  Whole sequences are run by the PPO update: the
 networks hand their trunks (``CoordinatedActor.sequence_trunk`` /
 ``CentralizedCritic.sequence_trunk``: input, encoder and this cell's
 weights) to the grouped whole-sequence kernel
-:func:`repro.nn.tensor.lstm_sequence`, actor and critic in one call;
-with ``fused=False`` ``sequence_hidden`` unrolls this cell step by step.
+:func:`repro.nn.tensor.lstm_sequence`, actor and critic in one call.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 
 from repro.nn.initializers import initialize
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, concat, lstm_cell
+from repro.nn.tensor import Tensor, lstm_cell
 
 
 class LSTMCell(Module):
@@ -27,13 +26,11 @@ class LSTMCell(Module):
     bias initialized to 1.0 (standard trick for gradient flow early in
     training).
 
-    With ``fused=True`` (the default, mirroring the engine's ``fast_path``
-    precedent) the step runs through the single-kernel
+    The step runs through the single-kernel
     :func:`repro.nn.tensor.lstm_cell` op — two graph nodes and a
-    hand-derived backward with per-cell buffer reuse — instead of the
-    ~15-node composed op chain.  Both paths are bit-exact in forward
-    values and accumulated gradients; ``fused=False`` keeps the composed
-    chain for equivalence testing and ablations.
+    hand-derived backward with per-cell buffer reuse — bit-exact in
+    forward values and accumulated gradients with the ~15-node composed
+    op chain (the test suite keeps that chain as its oracle).
     """
 
     def __init__(
@@ -42,14 +39,12 @@ class LSTMCell(Module):
         hidden_size: int,
         rng: np.random.Generator,
         init: str = "orthogonal",
-        fused: bool = True,
     ) -> None:
         super().__init__()
         if input_size <= 0 or hidden_size <= 0:
             raise ValueError("LSTMCell sizes must be positive")
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.fused = bool(fused)
         self._workspace: dict = {}
         self.weight = Parameter(
             initialize(init, (input_size + hidden_size, 4 * hidden_size), rng, gain=1.0)
@@ -88,20 +83,7 @@ class LSTMCell(Module):
         c_prev = Tensor.ensure(state[1])
         if x.shape[-1] != self.input_size:
             raise ValueError(f"LSTMCell expected input {self.input_size}, got {x.shape[-1]}")
-
-        if self.fused:
-            h_new, c_new = lstm_cell(
-                x, h_prev, c_prev, self.weight, self.bias, workspace=self._workspace
-            )
-            return h_new, (h_new, c_new)
-
-        gates = concat([x, h_prev], axis=-1) @ self.weight + self.bias
-        hs = self.hidden_size
-        i_gate = gates[:, 0 * hs : 1 * hs].sigmoid()
-        f_gate = gates[:, 1 * hs : 2 * hs].sigmoid()
-        g_gate = gates[:, 2 * hs : 3 * hs].tanh()
-        o_gate = gates[:, 3 * hs : 4 * hs].sigmoid()
-
-        c_new = f_gate * c_prev + i_gate * g_gate
-        h_new = o_gate * c_new.tanh()
+        h_new, c_new = lstm_cell(
+            x, h_prev, c_prev, self.weight, self.bias, workspace=self._workspace
+        )
         return h_new, (h_new, c_new)

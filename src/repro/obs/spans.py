@@ -5,8 +5,8 @@ The perf timers already bracket the hot phases of a training run
 :class:`SpanRecorder` attaches to a timer registry's ``span_sink`` hook
 and captures every individual section as a ``(name, start, duration)``
 span, exportable in Chrome trace-event format (load it in
-``chrome://tracing`` or Perfetto) — so the same instrumentation that
-feeds the perf gate becomes a timeline.
+``chrome://tracing`` or Perfetto) — so the same per-phase
+instrumentation becomes a timeline.
 
 Spans record wall-clock only; attaching a recorder never touches any
 RNG stream.

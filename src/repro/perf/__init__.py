@@ -1,47 +1,18 @@
-"""Performance subsystem: timers, parallel workers, benchmarks, gates.
-
-Three layers (mirroring how the speedups were built):
+"""Performance subsystem: timers and parallel workers.
 
 * :mod:`repro.perf.timers` — lightweight phase timers around the
   sim-tick / forward / update phases of a training run,
 * :mod:`repro.perf.parallel` — fork-based ``parallel_map`` used by
   multi-seed evaluation (``run_multiseed(..., workers=N)``),
-* :mod:`repro.perf.bench` + :mod:`repro.perf.regression` — benchmark
-  runners emitting ``benchmarks/BENCH_*.json`` and the regression gate
-  that fails CI when engine throughput drops.
+* :mod:`repro.perf.workers` — persistent forked workers for the
+  sharded simulation.
+
+The benchmark is ``perfbench/`` (workloads declared in
+``BENCHMARK.json``); ``scripts/check_perf_regression.py`` gates it
+against the committed ``benchmarks/perfbench_baseline.json``.
 """
 
 from repro.perf.parallel import parallel_map
 from repro.perf.timers import TIMERS, PhaseTimers
 
-__all__ = [
-    "TIMERS",
-    "PhaseTimers",
-    "bench_engine",
-    "bench_train",
-    "bench_update",
-    "check_engine_regression",
-    "check_train_regression",
-    "check_update_regression",
-    "parallel_map",
-    "write_benchmarks",
-]
-
-
-def __getattr__(name: str):
-    # bench/regression pull in the full experiment stack; import lazily
-    # so `repro.perf.timers` stays importable from low-level modules
-    # (e.g. the training runner) without a cycle.
-    if name in ("bench_engine", "bench_train", "bench_update", "write_benchmarks"):
-        from repro.perf import bench
-
-        return getattr(bench, name)
-    if name in (
-        "check_engine_regression",
-        "check_train_regression",
-        "check_update_regression",
-    ):
-        from repro.perf import regression
-
-        return getattr(regression, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["TIMERS", "PhaseTimers", "parallel_map"]

@@ -18,8 +18,10 @@ The invariant the whole package exists to uphold: **every intersection
 receives a valid action on every tick**, no matter what the policy,
 the checkpoint pipeline, or the fault injector does.
 
-Entry points: ``python -m repro serve`` (CLI) and
-:func:`repro.perf.bench.bench_serve` (sustained-throughput benchmark).
+Entry points: ``python -m repro serve`` (CLI) and the
+``serve_6x6_faults`` workload of ``perfbench/`` (closed-loop serving
+latency and throughput under controller deaths and message delay,
+gated by ``scripts/check_perf_regression.py``).
 """
 
 from repro.serve.config import ServeConfig

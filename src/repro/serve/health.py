@@ -9,8 +9,7 @@ class HealthTracker:
     """Accumulates one serving session's health signals.
 
     Every ``decide()`` call reports its latency and outcome here; the
-    snapshot (:meth:`report`) is what the ``serve`` CLI prints and what
-    ``bench_serve`` commits.
+    snapshot (:meth:`report`) is what the ``serve`` CLI prints.
     """
 
     def __init__(self) -> None:

@@ -555,8 +555,7 @@ def run_sharded(
 ) -> dict:
     """Convenience wrapper: build, run, summarize, close.
 
-    Adds wall-clock throughput (``ticks_per_second``) to the summary —
-    the number every scaling curve in ``bench_sharded`` is made of.
+    Adds wall-clock throughput (``ticks_per_second``) to the summary.
     """
     with ShardedSimulation(network, phase_plans, flows, num_shards, **kwargs) as sim:
         start = _time.perf_counter()

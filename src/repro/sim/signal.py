@@ -25,6 +25,18 @@ class Phase:
     def permits(self, movement: MovementKey) -> bool:
         return movement in self.green_movements
 
+    @property
+    def green_order(self) -> list[MovementKey]:
+        """The green movements in one stable order: sorted keys.
+
+        A phase's pressure is a float sum over its green set, so its bits
+        depend on the summation order.  A ``frozenset`` of string-keyed
+        movements iterates in an order that follows per-process string
+        hashing (``PYTHONHASHSEED``); pressure sums run in this order
+        instead, so every process picks the same phase.
+        """
+        return sorted(self.green_movements)
+
 
 @dataclass
 class PhasePlan:

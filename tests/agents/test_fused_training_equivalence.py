@@ -2,14 +2,15 @@
 
 Three contracts on a tiny grid:
 
-* ``fused=True`` (default) vs ``fused=False`` — the fused LSTM trunk /
-  affine kernels replace composed op chains *with the same op order*, so
-  full training episodes must produce bit-identical parameters and stats.
-* ``stepwise_eval=True`` (the pre-change per-step-heads evaluator, kept
-  as the benchmark baseline) vs the sequence-level evaluator — forward
-  outputs are row-local and must match bit-exactly; weight gradients
-  reduce over (T*M) rows in one GEMM instead of T accumulated GEMMs, so
-  they agree only to reduction-order rounding (~1e-15 relative).
+* fused kernels vs the composed op chains of ``helpers.composed_kernels``
+  — the fused LSTM trunk / affine kernels replace composed op chains
+  *with the same op order*, so full training episodes must produce
+  bit-identical parameters and stats.
+* ``helpers.evaluate_shared_stepwise`` (the pre-change per-step-heads
+  evaluator) vs the sequence-level evaluator — forward outputs are
+  row-local and must match bit-exactly; weight gradients reduce over
+  (T*M) rows in one GEMM instead of T accumulated GEMMs, so they agree
+  only to reduction-order rounding (~1e-15 relative).
 * telemetry on vs off — enabling :data:`repro.perf.timers.TIMERS`
   (the PPO epoch/minibatch spans and the evaluate/backward/step
   sections nested in each minibatch) must not perturb training.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from helpers import composed_kernels, kernels, use_stepwise_eval
 from repro.agents.pairuplight import PairUpLightConfig, PairUpLightSystem
 from repro.eval.harness import ExperimentScale, GridExperiment
 from repro.perf.timers import TIMERS
@@ -37,11 +39,13 @@ TINY = ExperimentScale(
 )
 
 
-def _rollout_system(**config_kwargs):
+def _rollout_system(stepwise_eval: bool = False, **config_kwargs):
     """Build a system and run one untrained rollout episode."""
     experiment = GridExperiment(TINY, seed=5)
     env = experiment.train_env(1)
     agent = PairUpLightSystem(env, PairUpLightConfig(**config_kwargs), seed=5)
+    if stepwise_eval:
+        use_stepwise_eval(agent)
     observations = env.reset(seed=21)
     agent.begin_episode(env, True)
     done = False
@@ -54,23 +58,24 @@ def _rollout_system(**config_kwargs):
     return env, agent
 
 
-def _train(episodes: int = 2, **config_kwargs):
+def _train(episodes: int = 2, fused: bool = True, **config_kwargs):
     """Train on the tiny grid; return (per-episode stats, state_dict)."""
     experiment = GridExperiment(TINY, seed=5)
     env = experiment.train_env(1)
     agent = PairUpLightSystem(env, PairUpLightConfig(**config_kwargs), seed=5)
     all_stats = []
-    for episode in range(episodes):
-        observations = env.reset(seed=21 + episode)
-        agent.begin_episode(env, True)
-        done = False
-        while not done:
-            actions = agent.act(observations, env, True)
-            result = env.step(actions)
-            agent.observe(result, env)
-            observations = result.observations
-            done = result.done
-        all_stats.append(agent.end_episode(env, training=True))
+    with kernels(fused):
+        for episode in range(episodes):
+            observations = env.reset(seed=21 + episode)
+            agent.begin_episode(env, True)
+            done = False
+            while not done:
+                actions = agent.act(observations, env, True)
+                result = env.step(actions)
+                agent.observe(result, env)
+                observations = result.observations
+                done = result.done
+            all_stats.append(agent.end_episode(env, training=True))
     return all_stats, agent.state_dict()
 
 
@@ -103,26 +108,28 @@ class TestFusedTrainingEquivalence:
 
 class TestStepwiseEvaluatorEquivalence:
     def test_forward_outputs_bit_exact(self):
-        _, seq_agent = _rollout_system(fused=False)
-        _, step_agent = _rollout_system(fused=False, stepwise_eval=True)
-        data = seq_agent.buffer.stacked()
-        step_data = step_agent.buffer.stacked()
-        for key in data:
-            assert np.array_equal(data[key], step_data[key]), key
-        batch = np.arange(seq_agent.num_agents)
-        for seq_out, step_out in zip(
-            seq_agent._evaluate(data, batch), step_agent._evaluate(step_data, batch)
-        ):
-            assert np.array_equal(seq_out.data, step_out.data)
+        with composed_kernels():
+            _, seq_agent = _rollout_system()
+            _, step_agent = _rollout_system(stepwise_eval=True)
+            data = seq_agent.buffer.stacked()
+            step_data = step_agent.buffer.stacked()
+            for key in data:
+                assert np.array_equal(data[key], step_data[key]), key
+            batch = np.arange(seq_agent.num_agents)
+            for seq_out, step_out in zip(
+                seq_agent._evaluate(data, batch), step_agent._evaluate(step_data, batch)
+            ):
+                assert np.array_equal(seq_out.data, step_out.data)
 
     def test_gradients_match_to_reduction_rounding(self):
         grads = {}
         for stepwise in (False, True):
-            _, agent = _rollout_system(fused=False, stepwise_eval=stepwise)
-            data = agent.buffer.stacked()
-            batch = np.arange(agent.num_agents)
-            logprobs, entropies, values = agent._evaluate(data, batch)
-            (logprobs.sum() + entropies.sum() + values.sum()).backward()
+            with composed_kernels():
+                _, agent = _rollout_system(stepwise_eval=stepwise)
+                data = agent.buffer.stacked()
+                batch = np.arange(agent.num_agents)
+                logprobs, entropies, values = agent._evaluate(data, batch)
+                (logprobs.sum() + entropies.sum() + values.sum()).backward()
             grads[stepwise] = _param_grads(agent)
         assert set(grads[False]) == set(grads[True])
         for key in grads[False]:

@@ -14,8 +14,8 @@ seed, down to the parameter bytes.  The suite pins:
   (still bit-exact);
 * the clean ``ConfigError`` for agents the policy group cannot drive;
 * the ``shared_across_replicas`` training regime (no serial oracle:
-  deterministic, finite, one combined update; ``fused=True`` bit-exact
-  with the composed ``fused=False`` chain);
+  deterministic, finite, one combined update; the fused kernels
+  bit-exact with the composed op chains of ``helpers.composed_kernels``);
 * the satellite fix: ``duration_s`` is the per-seed share and
   ``group_duration_s`` the whole-group wall-clock.
 """
@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import kernels
 from repro.errors import ConfigError
 from repro.eval.batched import LockstepEnvGroup, train_lockstep
 from repro.eval.harness import ExperimentScale, make_experiment
@@ -259,13 +260,12 @@ class TestSharedAcrossReplicas:
 
         def run(fused):
             def factory(env, seed):
-                return PairUpLightSystem(
-                    env, PairUpLightConfig(fused=fused), seed=seed
-                )
+                return PairUpLightSystem(env, PairUpLightConfig(), seed=seed)
 
-            return _batched_histories(
-                factory, batched_policy=True, shared_across_replicas=True
-            )
+            with kernels(fused):
+                return _batched_histories(
+                    factory, batched_policy=True, shared_across_replicas=True
+                )
 
         fused_agents, fused_hist = run(True)
         composed_agents, composed_hist = run(False)

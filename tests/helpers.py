@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+import types
+from contextlib import contextmanager, nullcontext
+
+import numpy as np
+
 from repro.env.tsc_env import EnvConfig, TrafficSignalEnv
+from repro.nn import functional as F
+from repro.nn import tensor as tensor_mod
+from repro.nn.tensor import Tensor, concat, stack
 from repro.scenarios.flows import flow_pattern
 from repro.scenarios.grid import GridScenario
 
@@ -92,3 +101,144 @@ def check_engine_invariants(sim, teleport=None) -> None:
         for lane in link.lanes:
             assert sim.queue_length(lane.lane_id) >= 0
             assert sim.head_wait(lane.lane_id) >= 0
+
+
+# ---------------------------------------------------------------------
+# Composed-op oracles for the fused nn kernels
+# ---------------------------------------------------------------------
+# Each fused kernel in ``repro.nn.tensor`` replaces a chain of generic
+# ops with one graph node and a hand-derived backward, bit-exact in
+# forward values and accumulated gradients.  The chains below are those
+# generic-op formulations, kept here as the oracles the kernels are
+# compared against.
+
+
+def composed_affine(x, weight, bias=None) -> Tensor:
+    """``x @ weight + bias`` as a matmul node and an add node."""
+    out = Tensor.ensure(x) @ weight
+    if bias is not None:
+        out = out + bias
+    return out
+
+
+def composed_lstm_cell(x, h_prev, c_prev, weight, bias, workspace=None):
+    """One LSTM step as the ~15-node gate chain; returns ``(h, c)``."""
+    h_prev = Tensor.ensure(h_prev)
+    c_prev = Tensor.ensure(c_prev)
+    gates = concat([Tensor.ensure(x), h_prev], axis=-1) @ weight + bias
+    hs = h_prev.shape[-1]
+    i_gate = gates[:, 0 * hs : 1 * hs].sigmoid()
+    f_gate = gates[:, 1 * hs : 2 * hs].sigmoid()
+    g_gate = gates[:, 2 * hs : 3 * hs].tanh()
+    o_gate = gates[:, 3 * hs : 4 * hs].sigmoid()
+    c_new = f_gate * c_prev + i_gate * g_gate
+    h_new = o_gate * c_new.tanh()
+    return h_new, c_new
+
+
+def composed_lstm_trunk(
+    x, h_prev, c_prev, enc_weight, enc_bias, weight, bias, workspace=None
+):
+    """``tanh(x @ We + be)`` into :func:`composed_lstm_cell`."""
+    encoded = composed_affine(x, enc_weight, enc_bias).tanh()
+    return composed_lstm_cell(encoded, h_prev, c_prev, weight, bias)
+
+
+def composed_lstm_sequence(*trunks, workspace=None) -> tuple:
+    """Each trunk unrolled step by step from a zero state, then stacked."""
+    outputs = []
+    for x, enc_weight, enc_bias, weight, bias in trunks:
+        x = Tensor.ensure(x)
+        h = np.zeros((x.shape[1], weight.shape[-1] // 4))
+        c = np.zeros_like(h)
+        hidden = []
+        for t in range(x.shape[0]):
+            h, c = composed_lstm_trunk(x[t], h, c, enc_weight, enc_bias, weight, bias)
+            hidden.append(h)
+        outputs.append(stack(hidden, axis=0))
+    return tuple(outputs)
+
+
+_COMPOSED = {
+    "affine": composed_affine,
+    "lstm_cell": composed_lstm_cell,
+    "lstm_trunk": composed_lstm_trunk,
+    "lstm_sequence": composed_lstm_sequence,
+}
+
+
+@contextmanager
+def composed_kernels():
+    """Run every loaded ``repro`` module on the composed chains.
+
+    Inside the block, each module that imported a fused kernel from
+    ``repro.nn.tensor`` (``Linear``, ``LSTMCell``, the PairUpLight actor,
+    critic and PPO evaluator) calls its composed oracle instead.
+    """
+    swapped = []
+    for name, composed in _COMPOSED.items():
+        fused = getattr(tensor_mod, name)
+        for module in list(sys.modules.values()):
+            if (
+                module is not tensor_mod
+                and getattr(module, "__name__", "").startswith("repro.")
+                and getattr(module, name, None) is fused
+            ):
+                setattr(module, name, composed)
+                swapped.append((module, name, fused))
+    try:
+        yield
+    finally:
+        for module, name, fused in swapped:
+            setattr(module, name, fused)
+
+
+def kernels(fused: bool):
+    """The fused kernels as they are, or the composed oracle chains."""
+    return nullcontext() if fused else composed_kernels()
+
+
+def evaluate_shared_stepwise(agent, data, batch):
+    """Per-step PPO re-evaluation of a parameter-shared PairUpLight agent.
+
+    The pre-fusion evaluator: every head (policy, message, value,
+    log-softmax, entropy, gather) runs inside the unroll, one step at a
+    time.  Its forward outputs match ``_evaluate_shared`` bit for bit
+    (every head op is position-wise); its weight gradients reduce over
+    ``T`` per-step GEMMs instead of one, so they agree to rounding.
+    """
+    from repro.agents.pairuplight.agent import _gaussian_logprob
+
+    cfg = agent.config
+    actor = agent.shared_actor
+    critic = agent.shared_critic
+    batch = np.asarray(batch, dtype=np.int64)
+    a_state = actor.initial_state(len(batch))
+    c_state = critic.initial_state(len(batch))
+    logprob_steps, entropy_steps, value_steps = [], [], []
+    for t in range(data["obs"].shape[0]):
+        logits, msg_mean, a_state = actor(
+            data["obs"][t, batch], data["msg_in"][t, batch], a_state
+        )
+        log_probs = F.log_softmax(logits)
+        probs = F.softmax(logits)
+        step_logprob = F.gather(log_probs, data["action"][t, batch])
+        if cfg.communicate:
+            step_logprob = step_logprob + _gaussian_logprob(
+                data["raw_msg"][t, batch], msg_mean, cfg.sigma
+            )
+        logprob_steps.append(step_logprob)
+        entropy_steps.append(F.entropy(probs))
+        value, c_state = critic(data["critic_feat"][t, batch], c_state)
+        value_steps.append(value)
+    return (
+        stack(logprob_steps, axis=0),
+        stack(entropy_steps, axis=0),
+        stack(value_steps, axis=0),
+    )
+
+
+def use_stepwise_eval(agent):
+    """Make ``agent`` re-evaluate with :func:`evaluate_shared_stepwise`."""
+    agent._evaluate_shared = types.MethodType(evaluate_shared_stepwise, agent)
+    return agent

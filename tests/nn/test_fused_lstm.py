@@ -1,7 +1,7 @@
 """Fused-kernel equivalence suite (PR 5 tentpole).
 
 Covers the fused ops (`affine`, `lstm_cell`, `lstm_trunk`) against the
-composed op chains they replace — bit-exact forwards and accumulated
+composed op chains they replace (``helpers.composed_kernels``) — bit-exact forwards and accumulated
 gradients, not just within tolerance — plus dtype-coercion behaviour,
 workspace reuse, `no_grad`, flat-tape regressions, and bit-exactness of
 the fused in-place optimizer step loops.
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro.nn.tensor as tensor_mod
+from helpers import composed_kernels, kernels
 from repro.agents.pairuplight.actor import CoordinatedActor
 from repro.nn.lstm import LSTMCell
 from repro.nn.module import Parameter
@@ -42,8 +43,9 @@ class TestFusedVsComposedCell:
         xs = [_rand((3, 4), 20 + t) for t in range(4)]
         results = {}
         for fused in (True, False):
-            cell = LSTMCell(4, 6, np.random.default_rng(rng_seed), fused=fused)
-            loss, state = _unroll(cell, xs)
+            cell = LSTMCell(4, 6, np.random.default_rng(rng_seed))
+            with kernels(fused):
+                loss, state = _unroll(cell, xs)
             loss.backward()
             results[fused] = (
                 loss.data.copy(),
@@ -60,8 +62,9 @@ class TestFusedVsComposedCell:
         xs = [_rand((2, 3), 40 + t) for t in range(3)]
         grads = {}
         for fused in (True, False):
-            cell = LSTMCell(3, 5, np.random.default_rng(9), fused=fused)
-            loss, _ = _unroll(cell, xs)
+            cell = LSTMCell(3, 5, np.random.default_rng(9))
+            with kernels(fused):
+                loss, _ = _unroll(cell, xs)
             loss.backward()
             grads[fused] = cell.weight.grad.copy()
         assert np.max(np.abs(grads[True] - grads[False])) <= 1e-10
@@ -70,9 +73,10 @@ class TestFusedVsComposedCell:
         x = Tensor(_rand((3, 4), 50), requires_grad=True)
         outs = {}
         for fused in (True, False):
-            cell = LSTMCell(4, 6, np.random.default_rng(3), fused=fused)
+            cell = LSTMCell(4, 6, np.random.default_rng(3))
             x_run = Tensor(x.data.copy(), requires_grad=True)
-            h, state = cell(x_run, cell.initial_state(3))
+            with kernels(fused):
+                h, state = cell(x_run, cell.initial_state(3))
             ((h * h).sum() + state[1].sum()).backward()
             outs[fused] = x_run.grad.copy()
         assert np.array_equal(outs[True], outs[False])
@@ -80,18 +84,16 @@ class TestFusedVsComposedCell:
 
 class TestFusedTrunk:
     def _actors(self):
-        pair = []
-        for fused in (True, False):
-            actor = CoordinatedActor(
+        return [
+            CoordinatedActor(
                 obs_dim=5,
                 num_phases=3,
                 message_dim=1,
                 hidden_size=8,
                 rng=np.random.default_rng(11),
-                fused=fused,
             )
-            pair.append(actor)
-        return pair
+            for _ in range(2)
+        ]
 
     def test_step_hidden_sequence_bit_exact(self):
         fused_actor, composed_actor = self._actors()
@@ -101,10 +103,11 @@ class TestFusedTrunk:
         for key, actor in (("fused", fused_actor), ("composed", composed_actor)):
             state = actor.initial_state(4)
             loss = None
-            for o, m in zip(obs, msg):
-                hidden, state = actor.step_hidden(o, m, state)
-                term = (hidden * hidden).sum()
-                loss = term if loss is None else loss + term
+            with kernels(key == "fused"):
+                for o, m in zip(obs, msg):
+                    hidden, state = actor.step_hidden(o, m, state)
+                    term = (hidden * hidden).sum()
+                    loss = term if loss is None else loss + term
             loss.backward()
             results[key] = {
                 "loss": np.asarray(loss.data).copy(),
@@ -139,11 +142,12 @@ class TestFusedTrunk:
 
         for p in (we, be, w, b):
             p.grad = None
-        cell = LSTMCell(4, 4, np.random.default_rng(0), fused=False)
+        cell = LSTMCell(4, 4, np.random.default_rng(0))
         cell.weight = Parameter(w.data.copy())
         cell.bias = Parameter(b.data.copy())
         encoded = affine(Tensor(x), we, be).tanh()
-        h_c, state = cell(encoded, (Tensor(h), Tensor(c)))
+        with composed_kernels():
+            h_c, state = cell(encoded, (Tensor(h), Tensor(c)))
         ((h_c * h_c).sum() + state[1].sum()).backward()
         composed = [p.grad.copy() for p in (we, be)] + [
             cell.weight.grad.copy(),
@@ -160,13 +164,14 @@ class TestStateDtypeCoercion:
 
     @pytest.mark.parametrize("fused", [True, False])
     def test_lstm_cell_accepts_float32_state(self, fused):
-        cell = LSTMCell(3, 4, np.random.default_rng(2), fused=fused)
+        cell = LSTMCell(3, 4, np.random.default_rng(2))
         x = _rand((2, 3), 90)
         h64, c64 = cell.initial_state(2)
         h32 = h64.astype(np.float32)
         c32 = c64.astype(np.float32)
-        out32, state32 = cell(Tensor(x), (h32, c32))
-        out64, state64 = cell(Tensor(x), (h64, c64))
+        with kernels(fused):
+            out32, state32 = cell(Tensor(x), (h32, c32))
+            out64, state64 = cell(Tensor(x), (h64, c64))
         assert out32.data.dtype == np.float64
         assert state32[1].data.dtype == np.float64
         assert np.array_equal(out32.data, out64.data)
@@ -174,16 +179,17 @@ class TestStateDtypeCoercion:
 
     @pytest.mark.parametrize("fused", [True, False])
     def test_nonzero_float32_state_rounds_then_matches(self, fused):
-        cell = LSTMCell(3, 4, np.random.default_rng(2), fused=fused)
+        cell = LSTMCell(3, 4, np.random.default_rng(2))
         x = _rand((2, 3), 91)
         h32 = _rand((2, 4), 92).astype(np.float32)
         c32 = _rand((2, 4), 93).astype(np.float32)
-        out32, _ = cell(Tensor(x), (h32, c32))
-        # Coercion widens the float32 values; identical to feeding the
-        # widened arrays directly.
-        out_widened, _ = cell(
-            Tensor(x), (h32.astype(np.float64), c32.astype(np.float64))
-        )
+        with kernels(fused):
+            out32, _ = cell(Tensor(x), (h32, c32))
+            # Coercion widens the float32 values; identical to feeding
+            # the widened arrays directly.
+            out_widened, _ = cell(
+                Tensor(x), (h32.astype(np.float64), c32.astype(np.float64))
+            )
         assert np.array_equal(out32.data, out_widened.data)
 
     def test_trunk_accepts_float32_state(self):
@@ -203,10 +209,10 @@ class TestStateDtypeCoercion:
 
 class TestWorkspaceReuse:
     def test_results_stable_across_batch_size_changes(self):
-        cell = LSTMCell(3, 4, np.random.default_rng(6), fused=True)
+        cell = LSTMCell(3, 4, np.random.default_rng(6))
         for batch in (2, 5, 2, 3):
             x = _rand((batch, 3), 100 + batch)
-            fresh = LSTMCell(3, 4, np.random.default_rng(6), fused=True)
+            fresh = LSTMCell(3, 4, np.random.default_rng(6))
             out_reused, state_reused = cell(Tensor(x), cell.initial_state(batch))
             out_fresh, state_fresh = fresh(Tensor(x), fresh.initial_state(batch))
             (out_reused.sum() + state_reused[1].sum()).backward()
@@ -217,7 +223,7 @@ class TestWorkspaceReuse:
             cell.bias.grad = None
 
     def test_workspace_populated_and_reused(self):
-        cell = LSTMCell(3, 4, np.random.default_rng(6), fused=True)
+        cell = LSTMCell(3, 4, np.random.default_rng(6))
         x = _rand((2, 3), 110)
         out, state = cell(Tensor(x), cell.initial_state(2))
         (out.sum() + state[1].sum()).backward()
@@ -266,13 +272,14 @@ class TestFlatTape:
         """
         grads = {}
         for fused in (True, False):
-            cell = LSTMCell(3, 4, np.random.default_rng(8), fused=fused)
+            cell = LSTMCell(3, 4, np.random.default_rng(8))
             x = _rand((2, 3), 132)
-            out, state = cell(Tensor(x), cell.initial_state(2))
-            (out.sum() + state[1].sum()).backward()
-            first = cell.weight.grad.copy()
-            out, state = cell(Tensor(x), cell.initial_state(2))
-            (out.sum() + state[1].sum()).backward()
+            with kernels(fused):
+                out, state = cell(Tensor(x), cell.initial_state(2))
+                (out.sum() + state[1].sum()).backward()
+                first = cell.weight.grad.copy()
+                out, state = cell(Tensor(x), cell.initial_state(2))
+                (out.sum() + state[1].sum()).backward()
             grads[fused] = (first, cell.weight.grad.copy())
         assert np.array_equal(grads[True][0], grads[False][0])
         assert np.array_equal(grads[True][1], grads[False][1])

@@ -4,9 +4,11 @@ On a plain ``DetectorSuite`` the fallback sums this tick's
 ``_bulk_mp`` through a per-node ``(phase, movement)`` index memoized on
 the network; it must pick exactly what the per-movement reference loop
 picks (first maximum, ``-inf`` start).  Fault-injecting suites keep the
-per-movement reads, whose every call may draw RNG.  Both paths sum a
-phase's pressures in sorted movement order, so a serve run reads the
-same waits in every process, whatever its string-hash seed.
+per-movement reads, whose every call may draw RNG.  Both paths, and
+the ``MaxPressure`` baseline agent, sum a phase's pressures in
+``Phase.green_order`` (sorted movement keys), so a serve run and a
+max-pressure run read the same waits in every process, whatever its
+string-hash seed.
 """
 
 from __future__ import annotations
@@ -143,14 +145,35 @@ _SERVE_RUN = textwrap.dedent(
 )
 
 
+#: The ``MaxPressure`` baseline agent on a loaded 3x3 grid; prints its
+#: mean wait.
+_MAX_PRESSURE_RUN = textwrap.dedent(
+    """
+    from repro.agents import MaxPressureSystem
+    from repro.eval.harness import ExperimentScale, GridExperiment
+    from repro.rl.runner import train
+
+    scale = ExperimentScale(
+        rows=3, cols=3, peak_rate=1500.0, t_peak=60.0, light_duration=120.0,
+        horizon_ticks=150, max_ticks=3600, train_episodes=1, eval_episodes=1,
+    )
+    env = GridExperiment(scale, seed=3).train_env(1)
+    history = train(MaxPressureSystem(env), env, episodes=1, seed=3)
+    print(repr(history.episodes[0].avg_wait))
+    """
+)
+
+
 def test_serve_waits_do_not_depend_on_string_hashing():
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    waits = set()
+    runs = {"serve": _SERVE_RUN, "max_pressure": _MAX_PRESSURE_RUN}
+    waits = {name: set() for name in runs}
     for hash_seed in range(6):
         env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
-        run = subprocess.run(
-            [sys.executable, "-c", _SERVE_RUN],
-            env=env, capture_output=True, text=True, timeout=300, check=True,
-        )
-        waits.add(run.stdout.strip())
-    assert len(waits) == 1, waits
+        for name, script in runs.items():
+            run = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            waits[name].add(run.stdout.strip())
+    assert all(len(values) == 1 for values in waits.values()), waits

@@ -2,19 +2,19 @@
 
 These exercise the city-scale path the quick suites cannot afford:
 partitioning and running grids in the hundreds-of-intersections range,
-plus a miniature end-to-end pass through the scaling benchmark and its
-regression gate.  ``scripts/run_ci.sh`` runs them via
+plus the same-run scaling gate: eight worker shards against one
+in-process shard on a 50x50 grid.  ``scripts/run_ci.sh`` runs them via
 ``pytest -m sharded``.
 """
 
 from __future__ import annotations
 
-import json
+import statistics
+import time
 
 import pytest
 
-from repro.perf.bench import bench_sharded
-from repro.perf.regression import check_sharded_regression
+from repro.eval.sharded import sharded_grid_workload
 from repro.scenarios.grid import build_grid
 from repro.sim.sharded import ShardedSimulation
 from repro.sim.sharded.partition import partition_network
@@ -58,30 +58,40 @@ class TestLargeGridPartition:
         assert summary["handoffs"] > 0
 
 
-class TestBenchSharded:
-    def test_tiny_curve_schema(self):
-        payload = bench_sharded(
-            rows=4, cols=4, shard_counts=(1, 2), warmup_ticks=4,
-            measure_ticks=12, rounds=1,
-        )
-        assert payload["benchmark"] == "sharded"
-        assert payload["cpu_count"] >= 1
-        counts = [point["num_shards"] for point in payload["curve"]]
-        assert counts == [1, 2]
-        for point in payload["curve"]:
-            assert point["ticks_per_second"] > 0
-        assert payload["speedup_max_shards_vs_serial_same_run"] > 0
+#: K=8 / K=1 wall-clock tick-rate ratio on the 50x50 grid below, as
+#: committed by the retired ``benchmarks/BENCH_sharded.json`` (median of
+#: two interleaved rounds, measured on a 1-cpu container).
+COMMITTED_K8_RATIO = 0.511
+#: The allowed drop below it: the retired harness's sharded threshold,
+#: looser than its throughput gates because per-round ratios swing more.
+RATIO_FLOOR = 1 - 0.35
 
-    def test_regression_gate_round_trip(self, tmp_path):
-        payload = bench_sharded(
-            rows=4, cols=4, shard_counts=(1, 2), warmup_ticks=4,
-            measure_ticks=12, rounds=1,
+
+class TestShardedScalingGate:
+    """Guards the lockstep exchange protocol, the worker pipes and the
+    shard engines against slowing down relative to one in-process shard.
+
+    K=1 and K=8 are timed in the same interleaved rounds, so host noise
+    cancels out of their ratio.  Wall clock, because the shards run in
+    worker processes.  The untimed warm-up fills the empty network first.
+    """
+
+    def test_k8_vs_k1_same_run_ratio(self):
+        scenario, flows = sharded_grid_workload(50, 50, light_duration=70.0)
+        rates = {1: [], 8: []}
+        for _ in range(2):
+            for count in rates:
+                with ShardedSimulation(
+                    scenario.network, scenario.phase_plans, flows, count,
+                    seed=7, workers=count > 1,
+                ) as sim:
+                    sim.run(10)
+                    started = time.perf_counter()
+                    sim.run(60)
+                    rates[count].append(60 / (time.perf_counter() - started))
+                    sim.check_conservation()
+        ratio = statistics.median(k8 / k1 for k8, k1 in zip(rates[8], rates[1]))
+        assert ratio >= COMMITTED_K8_RATIO * RATIO_FLOOR, (
+            f"K=8 / K=1 ratio {ratio:.3f} is {ratio / COMMITTED_K8_RATIO:.0%} "
+            f"of committed {COMMITTED_K8_RATIO} (ticks/s {rates})"
         )
-        baseline_path = tmp_path / "BENCH_sharded.json"
-        baseline_path.write_text(json.dumps(payload))
-        # A near-1.0 threshold: this asserts the baseline/re-measure
-        # plumbing works end to end, not the gate margin — the ratio is
-        # far too noisy at these tiny tick counts to gate tightly.
-        verdict = check_sharded_regression(str(baseline_path), threshold=0.99)
-        assert verdict.ok
-        assert "sharded" in verdict.metric
