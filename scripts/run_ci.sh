@@ -23,7 +23,9 @@
 #   8. the serve stage: one short traced 6x6 serving run under
 #      controller deaths and message delay that must be correct with
 #      zero failed decisions and zero deadline misses, so the serial
-#      array path (B=1 extractor, array routing) stays healthy,
+#      array path (B=1 extractor, array routing) stays healthy, and
+#      that must step the SoA engine and never the object engine, so
+#      serving stays on the production engine,
 #   9. the train stage: one short traced 6x6 B=8 shared training run
 #      that must be correct with zero failed operations and at least
 #      one PPO update, so the grouped LSTM trunk kernel stays on the
@@ -72,10 +74,16 @@ python3 perfbench/run.py --workload serve_6x6_faults --seed 1 --seconds 2 --trac
     | tail -n 1 | python3 -c '
 import json, sys
 result = json.loads(sys.stdin.read())
-misses = result["metrics"]["serve.deadline_misses"]["value"]
-print("correct=%s failed=%s deadline_misses=%s" % (result["correct"], result["failed"], misses))
+metrics = result["metrics"]
+misses = metrics["serve.deadline_misses"]["value"]
+soa_steps = metrics["sim.soa.step.calls"]["value"]
+object_steps = metrics["sim.engine.step.calls"]["value"]
+print("correct=%s failed=%s deadline_misses=%s soa_steps=%s object_steps=%s"
+      % (result["correct"], result["failed"], misses, soa_steps, object_steps))
 if not result["correct"] or result["failed"] != 0 or misses != 0:
     sys.exit("serve stage failed")
+if soa_steps <= 0 or object_steps != 0:
+    sys.exit("serve stage failed: serving must step the SoA engine only")
 '
 
 echo "== train stage (traced 6x6 B=8 shared training with PPO updates) =="

@@ -563,8 +563,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_multi.add_argument(
         "--engine", choices=("object", "soa"), default="object",
-        help="'soa' batches all seeds into one structure-of-arrays "
-        "engine in this process (bit-identical results; ignores --workers)",
+        help="'object' (default) runs every seed on its own env, each on "
+        "its own one-replica SoA engine; 'soa' batches all seeds into one "
+        "structure-of-arrays engine in this process (bit-identical "
+        "results; ignores --workers)",
     )
     p_multi.add_argument(
         "--batched-policy", action="store_true", dest="batched_policy",

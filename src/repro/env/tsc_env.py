@@ -38,6 +38,7 @@ from repro.sim.metrics import average_travel_time, network_average_wait
 from repro.sim.network import RoadNetwork
 from repro.sim.routing import Router
 from repro.sim.signal import PhasePlan
+from repro.sim.soa import SoAEngine, SoAReplicaView
 
 if TYPE_CHECKING:  # runtime import is lazy to avoid a package cycle
     from repro.faults.config import FaultConfig
@@ -59,11 +60,13 @@ class EnvConfig:
     saturation_rate: float = DEFAULT_SATURATION_RATE
     startup_lost_time: float = DEFAULT_STARTUP_LOST_TIME
     stochastic_demand: bool = True
-    #: Simulation backend: ``"object"`` is the reference
-    #: object-per-vehicle :class:`Simulation`; ``"soa"`` runs a
-    #: single-replica :class:`repro.sim.soa.SoAEngine` behind the same
-    #: API (bit-exact, faster; see DESIGN.md "SoA engine").
-    engine: str = "object"
+    #: Simulation backend.  ``"soa"``, the production engine, runs a
+    #: one-replica :class:`repro.sim.soa.SoAEngine` whose static tables
+    #: come from a per-network memo.  ``"object"`` is the reference
+    #: object-per-vehicle :class:`Simulation`, bit-exact with it and kept
+    #: as the test oracle (and as ``ShardEngine``'s base).  See DESIGN.md
+    #: "SoA engine".
+    engine: str = "soa"
     #: Optional fault injection (see :mod:`repro.faults`); ``None`` = healthy.
     faults: FaultConfig | None = None
     #: Optional scheduled lane/link closures
@@ -88,6 +91,36 @@ class EnvConfig:
 
 #: ``live`` flags of a single env finishing its own step.
 _LIVE = [True]
+
+
+def request_actions(
+    engine: SoAEngine,
+    envs: list[TrafficSignalEnv],
+    actions: list[dict[str, int] | None],
+) -> None:
+    """Request every env's phase choices on ``engine`` in one call.
+
+    ``envs`` run on replica views of ``engine`` and ``actions[i]`` holds
+    ``envs[i]``'s choices (``None``: no request for that env).  The
+    choices become one ``(B, NS)`` ``request_phases(where=)`` call on the
+    envs' replica rows.  All entries are validated before any is
+    applied; the first invalid one, in env then dict order, raises the
+    ``ConfigError`` of :meth:`TrafficSignalEnv._check_action`.
+    """
+    sig_of = engine._sig_of
+    req = np.zeros((engine.batch, engine.NS), dtype=np.int64)
+    where = np.zeros((engine.batch, engine.NS), dtype=bool)
+    for env, acts in zip(envs, actions):
+        if acts:
+            b = env.sim.b
+            cols = [sig_of[node_id] for node_id in acts]
+            req[b, cols] = list(map(int, acts.values()))
+            where[b, cols] = True
+    if (where & ((req < 0) | (req >= engine._num_phases))).any():
+        for env, acts in zip(envs, actions):
+            for node_id, action in (acts or {}).items():
+                env._check_action(node_id, action)
+    engine.request_phases(req, where=where)
 
 
 @dataclass
@@ -209,8 +242,6 @@ class TrafficSignalEnv:
         self._episode_count += 1
         demand = self._fresh_demand(seed)
         if self.config.engine == "soa":
-            from repro.sim.soa import SoAEngine
-
             engine = SoAEngine(
                 self.network,
                 [demand],
@@ -283,9 +314,17 @@ class TrafficSignalEnv:
             return self._finish_step()
 
     def _apply_actions(self, actions: dict[str, int]) -> None:
-        """Validate and request this step's phase choices (no stepping)."""
+        """Validate and request this step's phase choices (no stepping).
+
+        On an SoA replica this is :func:`request_actions` for one env;
+        the per-node loop is the object engine's reference.  Either way
+        every choice is validated before any is applied."""
+        if isinstance(self.sim, SoAReplicaView):
+            request_actions(self.sim.engine, [self], [actions])
+            return
         for node_id, action in actions.items():
             self._check_action(node_id, action)
+        for node_id, action in actions.items():
             self.sim.set_phase(node_id, int(action))
 
     def _check_action(self, node_id: str, action: int) -> None:

@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from repro.env.tsc_env import StepResult, TrafficSignalEnv
+from repro.env.tsc_env import StepResult, TrafficSignalEnv, request_actions
 from repro.errors import ConfigError
 from repro.perf.timers import TIMERS
 from repro.rl.runner import (
@@ -90,9 +90,6 @@ class LockstepEnvGroup:
             saturation_rate=head.config.saturation_rate,
             startup_lost_time=head.config.startup_lost_time,
         )
-        self._num_phases = np.asarray(
-            [plan.num_phases for plan in self.engine._plans], dtype=np.int64
-        )
         for b, (env, seed) in enumerate(zip(self.envs, seeds)):
             env._episode_count += 1
             env._adopt_sim(self.engine.view(b), seed)
@@ -119,7 +116,7 @@ class LockstepEnvGroup:
         if self.engine is None:
             raise ConfigError("call reset_all() before step_all()")
         with TIMERS.section("env_step/apply"):
-            self._request_all(actions)
+            request_actions(self.engine, self.envs, actions)
         with TIMERS.section("env_step/engine"):
             self.engine.step(self.envs[0].config.delta_t)
         with TIMERS.section("env_step/extract"):
@@ -131,30 +128,6 @@ class LockstepEnvGroup:
                 env._finish_step() if acts is not None else None
                 for env, acts in zip(self.envs, actions)
             ]
-
-    def _request_all(self, actions: list[dict[str, int] | None]) -> None:
-        """Every env's ``_apply_actions`` as one ``(B, NS)`` request.
-
-        All entries are validated before any is applied; the first
-        invalid one, in env then dict order, raises the
-        ``ConfigError`` of ``TrafficSignalEnv._apply_actions``.
-        """
-        engine = self.engine
-        sig_of = engine._sig_of
-        req = np.zeros((engine.batch, engine.NS), dtype=np.int64)
-        where = np.zeros((engine.batch, engine.NS), dtype=bool)
-        for b, acts in enumerate(actions):
-            if acts is None:
-                continue
-            cols = [sig_of[node_id] for node_id in acts]
-            req[b, cols] = list(map(int, acts.values()))
-            where[b, cols] = True
-        if (where & ((req < 0) | (req >= self._num_phases))).any():
-            for env, acts in zip(self.envs, actions):
-                for node_id, action in (acts or {}).items():
-                    env._check_action(node_id, action)
-        engine.request_phases(req, where=where)
-
 
 def train_lockstep(
     agents: list,

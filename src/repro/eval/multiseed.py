@@ -97,11 +97,14 @@ def run_multiseed(
     as a :class:`repro.errors.SimulationError` naming its seeds instead
     of blocking the sweep forever.
 
-    ``engine="soa"`` routes all seeds through one batched
+    ``engine`` picks how seeds share engines, not which simulator runs
+    them.  The default (``"object"``, a historical name) gives every seed
+    its own env, run serially or in forked workers; each env steps its
+    own one-replica SoA engine, ``EnvConfig``'s default.
+    ``engine="soa"`` instead routes all seeds through one batched
     structure-of-arrays engine in this process (one replica per seed,
-    see :mod:`repro.eval.batched`) instead of serial or fork-parallel
-    object-engine runs; results are bit-identical to the serial path.
-    ``workers`` is ignored in that mode.
+    see :mod:`repro.eval.batched`); results are bit-identical to the
+    per-seed path.  ``workers`` is ignored in that mode.
 
     ``telemetry`` (a :class:`repro.obs.telemetry.Telemetry`) records one
     ``multiseed_seed`` event per run plus aggregate gauges.  Events are

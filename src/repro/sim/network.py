@@ -148,7 +148,8 @@ class RoadNetwork:
         #: Static detector lookups keyed by coverage, owned by
         #: :mod:`repro.sim.detectors`, plus the index arrays derived from
         #: them (the step extractor's slot/lane maps, the max-pressure
-        #: fallback's phase rows).  Kept on the network so they live
+        #: fallback's phase rows) and the SoA engine's static tables
+        #: (:mod:`repro.sim.soa`).  Kept on the network so they live
         #: exactly as long as it does; every ``add_*`` clears them.
         self.detector_memo: dict[object, object] = {}
         self._validated = False

@@ -55,6 +55,7 @@ from itertools import chain
 import numpy as np
 
 from repro.errors import NetworkError, SimulationError
+from repro.perf.timers import TIMERS
 from repro.sim.demand import DemandGenerator
 from repro.sim.engine import (
     DEFAULT_PERMISSIVE_GAP_M,
@@ -69,6 +70,331 @@ from repro.sim.vehicle import VehicleState
 _BIG = np.int64(2**60)
 
 
+# ----------------------------------------------------------------------
+# Static tables, memoized per network
+# ----------------------------------------------------------------------
+# Everything an engine reads but never writes is a pure function of the
+# network plus the flow routes and rate profiles, the phase plans and
+# ``permissive_left``.  It is built once per distinct set of those
+# values and kept in ``RoadNetwork.detector_memo`` beside the detector
+# index, which every ``RoadNetwork.add_*`` clears.  Shared numpy tables
+# are frozen; an engine copies what it mutates (link storage) into its
+# own state.  The memo holds only network-derived values, never an
+# engine, so a finished engine is freed by refcounting.
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _network_tables(network: RoadNetwork) -> dict:
+    """Link/lane/movement index, link geometry, opposing approaches and
+    the advance pass's candidate lanes per movement."""
+    link_ids: list[str] = list(network.links)
+    link_of = {lid: i for i, lid in enumerate(link_ids)}
+    links = [network.links[lid] for lid in link_ids]
+    lane_ids: list[str] = []
+    lane_link: list[int] = []
+    link_lane_start: list[int] = []
+    link_lane_count: list[int] = []
+    for k, link in enumerate(links):
+        link_lane_start.append(len(lane_ids))
+        link_lane_count.append(link.num_lanes)
+        for lane in link.lanes:
+            lane_ids.append(lane.lane_id)
+            lane_link.append(k)
+    lane_of = {lid: i for i, lid in enumerate(lane_ids)}
+    lane_capacity = [link.lane_capacity for link in links]
+    # Movement rows for the permission tables.
+    move_keys = list(network.movements)
+    M = len(move_keys)
+
+    # Opposing-approach map (same construction as the object engine).
+    opp_by_id: dict[str, str | None] = {}
+    for node_id in network.signalized_nodes():
+        incoming = network.nodes[node_id].incoming
+        headings = {l: network.link_heading(l) for l in incoming}
+        for link_id in incoming:
+            hx, hy = headings[link_id]
+            best = None
+            for other in incoming:
+                if other == link_id:
+                    continue
+                ox, oy = headings[other]
+                if hx * ox + hy * oy < -0.7:  # roughly head-on
+                    best = other
+                    break
+            opp_by_id[link_id] = best
+    opp = [
+        link_of[opp_by_id[lid]] if opp_by_id.get(lid) is not None else -1
+        for lid in link_ids
+    ]
+
+    # Candidate lanes (lane indexes, reference order) per movement —
+    # ``RoadNetwork.lanes_for_movement`` as indexes, since a link's lanes
+    # are contiguous in lane order — plus the in-link's lane capacity:
+    # the advance phase's `_choose_lane` inputs.  The third slot is the
+    # lane index when the movement has exactly one candidate (-1
+    # otherwise): single-candidate movements dominate, and the advance
+    # scan takes a loop-free path for them.
+    move_cand: dict[tuple[int, int], tuple[int, list[int], int]] = {}
+    for (in_link, out_link), movement in network.movements.items():
+        k = link_of[in_link]
+        first = link_lane_start[k]
+        turn = movement.turn
+        lanes = [
+            first + pos
+            for pos, lane in enumerate(links[k].lanes)
+            if turn in lane.allowed_turns
+        ]
+        move_cand[(k, link_of[out_link])] = (
+            lane_capacity[k],
+            lanes,
+            lanes[0] if len(lanes) == 1 else -1,
+        )
+    return {
+        "_link_ids": link_ids,
+        "_link_of": link_of,
+        "LK": len(link_ids),
+        "_lane_ids": lane_ids,
+        "_lane_link": lane_link,
+        "_link_lane_start": link_lane_start,
+        "_link_lane_count": link_lane_count,
+        "_lane_of": lane_of,
+        "NL": len(lane_ids),
+        "_static_storage": [link.storage for link in links],
+        "_num_lanes": [link.num_lanes for link in links],
+        "_lane_capacity": lane_capacity,
+        "_freeflow": [link.freeflow_ticks for link in links],
+        "_length": [link.length for link in links],
+        "_speed": [link.speed_limit for link in links],
+        "_move_row": {key: r for r, key in enumerate(move_keys)},
+        "M": M,
+        "EXIT_ROW": M,
+        "EMPTY_ROW": M + 1,
+        "_opp": opp,
+        "_move_cand": move_cand,
+    }
+
+
+def _flow_tables(net: dict, routes: tuple[tuple[str, ...], ...]) -> dict:
+    """Per flow: route link indexes, permission-table rows, advance
+    candidates and dense origin index.  Shared across replicas (the env
+    hands every replica the same flow set; seeds differ)."""
+    link_of = net["_link_of"]
+    move_row = net["_move_row"]
+    move_cand = net["_move_cand"]
+    exit_row = net["EXIT_ROW"]
+    flow_routes: list[tuple[int, ...]] = []
+    flow_route_ids: list[list[str]] = []
+    flow_mrows: list[tuple[int, ...]] = []
+    for route_ids in routes:
+        route = tuple(link_of[lid] for lid in route_ids)
+        rows = []
+        for a, bnext in zip(route_ids[:-1], route_ids[1:]):
+            row = move_row.get((a, bnext))
+            if row is None:
+                raise SimulationError(
+                    f"route uses undeclared movement ({a!r}, {bnext!r})"
+                )
+            rows.append(row)
+        rows.append(exit_row)
+        flow_route_ids.append(list(route_ids))
+        flow_routes.append(route)
+        flow_mrows.append(tuple(rows))
+    flow_origin = [route[0] for route in flow_routes]
+    # Dense origin-link index: insertion state lives in flat arrays over
+    # (replica, origin) instead of per-replica dicts.
+    origin_links = sorted(set(flow_origin))
+    origin_of = {k: o for o, k in enumerate(origin_links)}
+    return {
+        "_flow_routes": flow_routes,
+        "_flow_route_ids": flow_route_ids,
+        "_flow_mrows": flow_mrows,
+        # Per flow, per route position: the (lane_capacity, candidate
+        # lanes) entry the advance pass needs — saves the movement-key
+        # dict lookup per advancing vehicle.
+        "_flow_cand": [
+            [move_cand[(route[i], route[i + 1])] for i in range(len(route) - 1)]
+            + [None]
+            for route in flow_routes
+        ],
+        "_origin_links": origin_links,
+        "NO": len(origin_links),
+        "_flow_oidx": [origin_of[k] for k in flow_origin],
+    }
+
+
+def _signal_tables(
+    network: RoadNetwork,
+    net: dict,
+    phase_plans: dict[str, PhasePlan],
+    permissive_left: bool,
+) -> dict:
+    """Signal order, permission tables and per-lane controlling signal."""
+    sig_nodes: list[str] = list(phase_plans)
+    sig_of = {nid: s for s, nid in enumerate(sig_nodes)}
+    NS = len(sig_nodes)
+    plans = [phase_plans[nid] for nid in sig_nodes]
+    M = net["M"]
+    move_row = net["_move_row"]
+    link_of = net["_link_of"]
+    lane_start = net["_link_lane_start"]
+    lane_count = net["_link_lane_count"]
+
+    # Permission tables: one column per (signal, phase) plus a shared
+    # ALWAYS column (unsignalized nodes) and a shared YELLOW column
+    # (nothing but queue exits may proceed).
+    col_base: list[int] = []
+    cols = 0
+    for plan in plans:
+        col_base.append(cols)
+        cols += plan.num_phases
+    always_col, yellow_col, ncols = cols, cols + 1, cols + 2
+    rows = M + 2
+    green = np.zeros((rows, ncols), dtype=bool)
+    left = np.zeros((rows, ncols), dtype=bool)
+    green[net["EXIT_ROW"], :] = True  # exiting from a queue is always allowed
+    green[: M + 1, always_col] = True  # unsignalized nodes
+    through_right = (TurnType.THROUGH, TurnType.RIGHT)
+    movements = network.movements
+    green_cells: tuple[list[int], list[int]] = ([], [])
+    left_cells: tuple[list[int], list[int]] = ([], [])
+    for s, nid in enumerate(sig_nodes):
+        lefts = [
+            (movement.in_link, movement.key)
+            for movement in network.movements_at(nid)
+            if permissive_left and movement.turn is TurnType.LEFT
+        ]
+        for p, phase in enumerate(plans[s].phases):
+            col = col_base[s] + p
+            greens = phase.green_movements
+            approach_green: set[str] = set()
+            for key in greens:
+                row = move_row.get(key)
+                if row is not None:
+                    green_cells[0].append(row)
+                    green_cells[1].append(col)
+                movement = movements.get(key)
+                if movement is not None and movement.turn in through_right:
+                    approach_green.add(key[0])
+            for in_link, key in lefts:
+                if in_link in approach_green and key not in greens:
+                    left_cells[0].append(move_row[key])
+                    left_cells[1].append(col)
+    green[green_cells] = True
+    left[left_cells] = True
+
+    # Per-lane controlling signal (NS = "no signal" sentinel mapping to
+    # the ALWAYS column).
+    lane_sig = np.full(net["NL"], NS, dtype=np.int64)
+    for k, link_id in enumerate(net["_link_ids"]):
+        s = sig_of.get(network.links[link_id].to_node)
+        if s is not None:
+            lane_sig[lane_start[k] : lane_start[k] + lane_count[k]] = s
+
+    # Lane indexes per signal for the startup-lost-time write.
+    sig_lanes = []
+    for nid in sig_nodes:
+        lanes: list[int] = []
+        for link_id in network.nodes[nid].incoming:
+            k = link_of[link_id]
+            lanes.extend(range(lane_start[k], lane_start[k] + lane_count[k]))
+        sig_lanes.append(_frozen(np.asarray(lanes, dtype=np.intp)))
+    return {
+        "_sig_nodes": sig_nodes,
+        "_sig_of": sig_of,
+        "NS": NS,
+        "ALWAYS_COL": always_col,
+        "YELLOW_COL": yellow_col,
+        "NCOLS": ncols,
+        # Fused permission code per (movement row, column): 0 = blocked,
+        # 1 = protected green, 2 = permissive-left candidate (dynamic
+        # opposing check required).  One gather replaces two.
+        "_code_flat": _frozen(
+            (green.astype(np.int8) + 2 * left.astype(np.int8)).ravel()
+        ),
+        "_col_base": _frozen(np.asarray(col_base, dtype=np.int64)),
+        "_num_phases": _frozen(
+            np.asarray([plan.num_phases for plan in plans], dtype=np.int64)
+        ),
+        "_lane_sig": _frozen(lane_sig),
+        "_sig_lanes": sig_lanes,
+        "_sig_lanes_all": _frozen(
+            np.concatenate(sig_lanes) if sig_lanes else np.empty(0, dtype=np.intp)
+        ),
+    }
+
+
+def _rate_schedule(flow_entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every positive per-second rate ``emit`` would draw from, as
+    ``(tick, flow, rate)`` arrays in its tick-major, flow-minor order.
+
+    Each flow's rates are evaluated with numpy per profile segment, with
+    the scalar expression of :meth:`DemandGenerator.emit` (same operands,
+    same order, so the same IEEE results): a tick takes the first
+    segment that contains it, and a tick inside the span but in no
+    segment takes the last rate only at the span's end.
+    """
+    t_end = int(math.floor(max(entry[3] for entry in flow_entries)))
+    tf = np.arange(t_end + 1, dtype=np.float64)
+    ticks, flows, lams = [], [], []
+    for f, (_, _, t_first, t_last, r_last, segments) in enumerate(flow_entries):
+        todo = (tf >= t_first) & (tf <= t_last)
+        rate = np.zeros(t_end + 1, dtype=np.float64)
+        for t0, t1, r0, r1 in segments:
+            hit = todo & (t0 <= tf) & (tf <= t1)
+            if t1 == t0:
+                rate[hit] = r1
+            else:
+                rate[hit] = r0 + ((tf[hit] - t0) / (t1 - t0)) * (r1 - r0)
+            todo &= ~hit
+        rate[todo & (tf == t_last)] = r_last
+        per_second = rate / 3600.0
+        (positive,) = np.nonzero(per_second > 0.0)
+        ticks.append(positive)
+        flows.append(np.full(positive.size, f, dtype=np.int64))
+        lams.append(per_second[positive])
+    pair_t = np.concatenate(ticks).astype(np.int64)
+    order = np.argsort(pair_t, kind="stable")
+    return (
+        _frozen(pair_t[order]),
+        _frozen(np.concatenate(flows)[order]),
+        _frozen(np.concatenate(lams)[order]),
+    )
+
+
+def _static_tables(
+    network: RoadNetwork,
+    entries,
+    phase_plans: dict[str, PhasePlan],
+    permissive_left: bool,
+) -> dict:
+    """Every static table of an engine, keyed by its attribute name."""
+    tables = _network_tables(network)
+    routes = tuple(tuple(entry[1]) for entry in entries)
+    tables.update(_flow_tables(tables, routes))
+    tables.update(_signal_tables(network, tables, phase_plans, permissive_left))
+    tables["_rates"] = _rate_schedule(entries) if entries else None
+    return tables
+
+
+def _replay_accumulators(
+    accumulators: list[float], pair_f: np.ndarray, lam: np.ndarray
+) -> np.ndarray:
+    """Deterministic emission counts: ``emit``'s fractional accumulator
+    replayed over the rate schedule, from the given per-flow state."""
+    acc = list(accumulators)
+    counts = []
+    for f, per_second in zip(pair_f.tolist(), lam.tolist()):
+        value = acc[f] + per_second
+        count = int(value)
+        acc[f] = value - count
+        counts.append(count)
+    return np.asarray(counts, dtype=np.int64)
+
+
 class SoAEngine:
     """Batched structure-of-arrays twin of :class:`Simulation`.
 
@@ -81,6 +407,10 @@ class SoAEngine:
     vectorized Poisson call per replica (bit-identical to the
     per-tick scalar draws — numpy Generators consume the bitstream
     identically for ``poisson(lam_array)`` and sequential scalar calls).
+
+    The static tables (index, permissions, flow routes, rate schedule)
+    come from a per-network memo, so a build after the first only
+    allocates per-replica state and draws the Poisson counts.
     """
 
     def __init__(
@@ -128,227 +458,46 @@ class SoAEngine:
         #: Optional :class:`repro.faults.incidents.IncidentSchedule`
         #: applied at the start of every tick (lane/link closures).
         self.incidents = None
-        self._build_static_index()
-        self._build_signal_state()
-        self._build_dynamic_state()
-        self._precompute_demand()
-
-    # ------------------------------------------------------------------
-    # Construction: static network/flow indexes
-    # ------------------------------------------------------------------
-    def _build_static_index(self) -> None:
-        network = self.network
-        self._link_ids: list[str] = list(network.links)
-        self._link_of = {lid: i for i, lid in enumerate(self._link_ids)}
-        self.LK = len(self._link_ids)
-        self._lane_ids: list[str] = []
-        self._lane_link: list[int] = []
-        self._link_lane_start: list[int] = []
-        self._link_lane_count: list[int] = []
-        for k, lid in enumerate(self._link_ids):
-            link = network.links[lid]
-            self._link_lane_start.append(len(self._lane_ids))
-            self._link_lane_count.append(link.num_lanes)
-            for lane in link.lanes:
-                self._lane_ids.append(lane.lane_id)
-                self._lane_link.append(k)
-        self._lane_of = {lid: i for i, lid in enumerate(self._lane_ids)}
-        self.NL = len(self._lane_ids)
-        links = [network.links[lid] for lid in self._link_ids]
-        self._storage = [link.storage for link in links]
-        self._static_storage = list(self._storage)
-        self._num_lanes = [link.num_lanes for link in links]
-        self._lane_capacity = [link.lane_capacity for link in links]
-        self._freeflow = [link.freeflow_ticks for link in links]
-        self._length = [link.length for link in links]
-        self._speed = [link.speed_limit for link in links]
-
-        # Movement rows for the permission tables.
-        self._move_keys = list(network.movements)
-        self._move_row = {key: r for r, key in enumerate(self._move_keys)}
-        self.M = len(self._move_keys)
-        self.EXIT_ROW = self.M
-        self.EMPTY_ROW = self.M + 1
-
-        # Opposing-approach map (same construction as the object engine).
-        opp_by_id: dict[str, str | None] = {}
-        for node_id in network.signalized_nodes():
-            incoming = network.nodes[node_id].incoming
-            headings = {l: network.link_heading(l) for l in incoming}
-            for link_id in incoming:
-                hx, hy = headings[link_id]
-                best = None
-                for other in incoming:
-                    if other == link_id:
-                        continue
-                    ox, oy = headings[other]
-                    if hx * ox + hy * oy < -0.7:  # roughly head-on
-                        best = other
-                        break
-                opp_by_id[link_id] = best
-        self._opp = [
-            self._link_of[opp_by_id[lid]]
-            if opp_by_id.get(lid) is not None
-            else -1
-            for lid in self._link_ids
-        ]
-
-        # Candidate lanes (local lane indexes, reference order) per
-        # movement, plus the in-link's lane capacity — the advance
-        # phase's `_choose_lane` inputs.  The third slot is the lane
-        # index when the movement has exactly one candidate (-1
-        # otherwise): single-candidate movements dominate, and the
-        # advance scan takes a loop-free path for them.
-        self._move_cand: dict[tuple[int, int], tuple[int, list[int], int]] = {}
-        for (in_link, out_link), movement in network.movements.items():
-            k = self._link_of[in_link]
-            lanes = [
-                self._lane_of[lane.lane_id]
-                for lane in network.lanes_for_movement(movement)
-            ]
-            self._move_cand[(k, self._link_of[out_link])] = (
-                self._lane_capacity[k],
-                lanes,
-                lanes[0] if len(lanes) == 1 else -1,
-            )
-
-        # Flow statics shared across replicas (the env hands every
-        # replica the same flow set; seeds differ).
-        base = next(gen for gen in self._demands if gen is not None)
-        self._flow_routes: list[tuple[int, ...]] = []
-        self._flow_route_ids: list[list[str]] = []
-        self._flow_mrows: list[tuple[int, ...]] = []
-        self._flow_origin: list[int] = []
-        for entry in base._flow_entries:
-            route_ids = list(entry[1])
-            route = tuple(self._link_of[lid] for lid in route_ids)
-            rows = []
-            for a, bnext in zip(route_ids[:-1], route_ids[1:]):
-                row = self._move_row.get((a, bnext))
-                if row is None:
-                    raise SimulationError(
-                        f"route uses undeclared movement ({a!r}, {bnext!r})"
-                    )
-                rows.append(row)
-            rows.append(self.EXIT_ROW)
-            self._flow_route_ids.append(route_ids)
-            self._flow_routes.append(route)
-            self._flow_mrows.append(tuple(rows))
-            self._flow_origin.append(route[0])
-        #: Per flow, per route position: the (lane_capacity, candidate
-        #: lanes) entry the advance pass needs — saves the movement-key
-        #: dict lookup per advancing vehicle.
-        self._flow_cand: list[list[tuple[int, list[int], int] | None]] = [
-            [
-                self._move_cand[(route[i], route[i + 1])]
-                for i in range(len(route) - 1)
-            ]
-            + [None]
-            for route in self._flow_routes
-        ]
-        # Dense origin-link index: insertion state lives in flat arrays
-        # over (replica, origin) instead of per-replica dicts.
-        origin_links = sorted(set(self._flow_origin))
-        self._origin_links = origin_links
-        self._origin_of = {k: o for o, k in enumerate(origin_links)}
-        self.NO = len(origin_links)
-        self._flow_oidx = [self._origin_of[k] for k in self._flow_origin]
+        base = next((gen for gen in self._demands if gen is not None), None)
+        entries = base._flow_entries if base is not None else []
         for gen in self._demands:
-            if gen is not None and len(gen._flow_entries) != len(
-                base._flow_entries
-            ):
+            if gen is not None and len(gen._flow_entries) != len(entries):
                 raise SimulationError(
                     "all replicas must share the same flow structure"
                 )
+        # One memo entry per (flow routes and profiles, phase plans,
+        # permissive_left) value; each table's key is its attribute name.
+        key = (
+            "soa_static",
+            tuple((tuple(entry[1]), entry[2:]) for entry in entries),
+            tuple((nid, tuple(plan.phases)) for nid, plan in phase_plans.items()),
+            permissive_left,
+        )
+        tables = network.detector_memo.get(key)
+        if tables is None:
+            tables = network.detector_memo[key] = _static_tables(
+                network, entries, phase_plans, permissive_left
+            )
+        vars(self).update(tables)
+        #: Effective storage per link; ``set_capacity_factor`` rewrites it.
+        self._storage = list(self._static_storage)
+        self._plans = [phase_plans[nid] for nid in self._sig_nodes]
+        self._build_signal_state()
+        self._build_dynamic_state()
+        self._precompute_demand(entries)
 
+    # ------------------------------------------------------------------
+    # Construction: per-replica state
+    # ------------------------------------------------------------------
     def _build_signal_state(self) -> None:
-        network = self.network
-        self._sig_nodes: list[str] = list(self.phase_plans)
-        self._sig_of = {nid: s for s, nid in enumerate(self._sig_nodes)}
-        self.NS = len(self._sig_nodes)
-        self._plans = [self.phase_plans[nid] for nid in self._sig_nodes]
-
-        # Permission tables: one column per (signal, phase) plus a
-        # shared ALWAYS column (unsignalized nodes) and a shared YELLOW
-        # column (nothing but queue exits may proceed).
-        col_base: list[int] = []
-        cols = 0
-        for plan in self._plans:
-            col_base.append(cols)
-            cols += plan.num_phases
-        self.ALWAYS_COL = cols
-        self.YELLOW_COL = cols + 1
-        self.NCOLS = cols + 2
-        rows = self.M + 2
-        green = np.zeros((rows, self.NCOLS), dtype=bool)
-        left = np.zeros((rows, self.NCOLS), dtype=bool)
-        green[self.EXIT_ROW, :] = True  # exiting from a queue is always allowed
-        green[: self.M + 1, self.ALWAYS_COL] = True  # unsignalized nodes
-        for s, nid in enumerate(self._sig_nodes):
-            plan = self._plans[s]
-            node_moves = network.movements_at(nid)
-            for p, phase in enumerate(plan.phases):
-                col = col_base[s] + p
-                approach_green: set[str] = set()
-                for key in phase.green_movements:
-                    row = self._move_row.get(key)
-                    if row is not None:
-                        green[row, col] = True
-                    movement = network.movements.get(key)
-                    if movement is not None and movement.turn in (
-                        TurnType.THROUGH,
-                        TurnType.RIGHT,
-                    ):
-                        approach_green.add(key[0])
-                if self.permissive_left:
-                    for movement in node_moves:
-                        if (
-                            movement.turn is TurnType.LEFT
-                            and movement.in_link in approach_green
-                            and movement.key not in phase.green_movements
-                        ):
-                            left[self._move_row[movement.key], col] = True
-        self._green_flat = green.ravel()
-        self._left_flat = left.ravel()
-        # Fused permission code per (movement row, column): 0 = blocked,
-        # 1 = protected green, 2 = permissive-left candidate (dynamic
-        # opposing check required).  One gather replaces two.
-        self._code_flat = (
-            green.astype(np.int8) + 2 * left.astype(np.int8)
-        ).ravel()
-        self._col_base = np.asarray(col_base, dtype=np.int64)
-
-        # Per-lane controlling signal (NS = "no signal" sentinel mapping
-        # to the ALWAYS column).
-        lane_sig = np.full(self.NL, self.NS, dtype=np.int64)
-        for l, k in enumerate(self._lane_link):
-            to_node = network.links[self._link_ids[k]].to_node
-            s = self._sig_of.get(to_node)
-            if s is not None:
-                lane_sig[l] = s
-        self._lane_sig = lane_sig
-
-        # Lane indexes per signal for the startup-lost-time write.
-        self._sig_lanes: list[np.ndarray] = []
-        for nid in self._sig_nodes:
-            idx = [
-                self._lane_of[lane.lane_id]
-                for link_id in network.nodes[nid].incoming
-                for lane in network.links[link_id].lanes
-            ]
-            self._sig_lanes.append(np.asarray(idx, dtype=np.intp))
-
         B = self.batch
         # One fused index for the all-(replica, signal) startup-penalty
         # write — the common case when synchronized fixed-time programs
         # switch every signal of every replica on the same tick.
-        if self._sig_lanes:
-            all_sig = np.concatenate(self._sig_lanes)
-            self._penalty_idx_full = (
-                np.arange(B, dtype=np.intp)[:, None] * self.NL + all_sig[None, :]
-            ).ravel()
-        else:
-            self._penalty_idx_full = np.empty(0, dtype=np.intp)
+        self._penalty_idx_full = (
+            np.arange(B, dtype=np.intp)[:, None] * self.NL
+            + self._sig_lanes_all[None, :]
+        ).ravel()
         self._cur = np.zeros((B, self.NS), dtype=np.int64)
         self._pend = np.full((B, self.NS), -1, dtype=np.int64)
         self._yel = np.zeros((B, self.NS), dtype=np.int64)
@@ -445,84 +594,42 @@ class SoAEngine:
     # ------------------------------------------------------------------
     # Construction: demand precompute
     # ------------------------------------------------------------------
-    def _precompute_demand(self) -> None:
+    def _precompute_demand(self, entries) -> None:
         """Replay every generator's ``emit`` arithmetic up front.
 
-        Rates are a pure function of flow statics shared by all
-        replicas, so the per-tick rate schedule is computed once.  Each
+        Rates are a pure function of the flow profiles shared by all
+        replicas, so the rate schedule is a static table (``_rates``).  Each
         stochastic replica then makes a single vectorized Poisson call
         over the positive-rate (tick-major, flow-minor) sequence — the
         exact order ``emit`` would have drawn scalars in, consuming the
-        generator's bitstream identically.  Deterministic generators
-        replay the fractional accumulator once (no RNG; identical for
-        every replica).
+        generator's bitstream identically.  The deterministic
+        accumulator is replayed once, only if some replica needs it (no
+        RNG; identical for every replica).
         """
-        base = next((gen for gen in self._demands if gen is not None), None)
         self._v_flow: list[list[int]] = []
         self._arr_t: list[list[int]] = []
         self._arr_ptr = [0] * self.batch
-        per_replica_cols: list[int] = []
-        if base is None:
-            self._v_flow = [[] for _ in range(self.batch)]
-            self._arr_t = [[] for _ in range(self.batch)]
-            per_replica_cols = [0] * self.batch
-        else:
-            t_end = int(math.floor(max(e[3] for e in base._flow_entries)))
-            lam_t: list[int] = []
-            lam_f: list[int] = []
-            lam_v: list[float] = []
-            det_t: list[int] = []
-            det_f: list[int] = []
-            det_c: list[int] = []
-            # Deterministic accumulators live on the Flow objects; start
-            # the replay from their current state (zero after reset()).
-            accumulators = [e[0]._accumulator for e in base._flow_entries]
-            for t in range(0, t_end + 1):
-                tf = float(t)
-                for f, entry in enumerate(base._flow_entries):
-                    _, _, t_first, t_last, r_last, segments = entry
-                    if tf < t_first or tf > t_last:
-                        continue
-                    for t0, t1, r0, r1 in segments:
-                        if t0 <= tf <= t1:
-                            if t1 == t0:
-                                rate = r1
-                            else:
-                                rate = r0 + ((tf - t0) / (t1 - t0)) * (r1 - r0)
-                            break
-                    else:
-                        rate = r_last if tf == t_last else 0.0
-                    per_second = rate / 3600.0
-                    if per_second <= 0.0:
-                        continue
-                    lam_t.append(t)
-                    lam_f.append(f)
-                    lam_v.append(per_second)
-                    acc = accumulators[f] + per_second
-                    count = int(acc)
-                    accumulators[f] = acc - count
-                    det_t.append(t)
-                    det_f.append(f)
-                    det_c.append(count)
-            lam_arr = np.asarray(lam_v, dtype=np.float64)
-            pair_t = np.asarray(lam_t, dtype=np.int64)
-            pair_f = np.asarray(lam_f, dtype=np.int64)
-            det_counts = np.asarray(det_c, dtype=np.int64)
-            for gen in self._demands:
-                if gen is None:
-                    self._v_flow.append([])
-                    self._arr_t.append([])
-                    per_replica_cols.append(0)
-                    continue
-                if gen.stochastic:
-                    counts = gen._rng.poisson(lam_arr).astype(np.int64)
-                else:
-                    counts = det_counts
-                arr_t = np.repeat(pair_t, counts)
-                arr_f = np.repeat(pair_f, counts)
-                self._arr_t.append(arr_t.tolist())
-                self._v_flow.append(arr_f.tolist())
-                per_replica_cols.append(int(arr_t.size))
+        if entries:
+            pair_t, pair_f, lam = self._rates
+        det_counts = None
+        for gen in self._demands:
+            if gen is None:
+                self._arr_t.append([])
+                self._v_flow.append([])
+                continue
+            if gen.stochastic:
+                counts = gen._rng.poisson(lam).astype(np.int64)
+            else:
+                if det_counts is None:
+                    # Deterministic accumulators live on the Flow
+                    # objects; start from their state (zero after reset()).
+                    det_counts = _replay_accumulators(
+                        [entry[0]._accumulator for entry in entries], pair_f, lam
+                    )
+                counts = det_counts
+            self._arr_t.append(np.repeat(pair_t, counts).tolist())
+            self._v_flow.append(np.repeat(pair_f, counts).tolist())
+        per_replica_cols = [len(arr_t) for arr_t in self._arr_t]
 
         # Pre-sized per-vehicle columns (vehicle id == arrival index, so
         # the created tick and flow columns are the arrival arrays).
@@ -757,15 +864,24 @@ class SoAEngine:
     # Core stepping
     # ------------------------------------------------------------------
     def _step_once(self) -> None:
-        if self.incidents is not None:
-            self.incidents.apply(self)
-        self._update_signals()
-        self._discharge()
-        if self.teleport_time is not None:
-            self._teleport_stuck()
-        self._advance()
-        self._insert_pending()
-        self._generate_demand()
+        # One TIMERS section per sub-phase (no-ops unless TIMERS is
+        # enabled): incidents count as signal-state updates, teleports
+        # as queue exits.
+        section = TIMERS.section
+        with section("sim/signals"):
+            if self.incidents is not None:
+                self.incidents.apply(self)
+            self._update_signals()
+        with section("sim/discharge"):
+            self._discharge()
+            if self.teleport_time is not None:
+                self._teleport_stuck()
+        with section("sim/advance"):
+            self._advance()
+        with section("sim/insert"):
+            self._insert_pending()
+        with section("sim/demand"):
+            self._generate_demand()
         self.time += 1
 
     def _update_signals(self) -> None:

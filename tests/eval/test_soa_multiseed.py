@@ -6,9 +6,9 @@ Two integration contracts on top of the kernel-level lockstep tests:
   single-replica SoA engine produces bit-identical observations,
   rewards, dones and infos to the object-engine env, episode by episode.
 * ``run_multiseed(..., engine="soa")`` — batching all seeds into one
-  engine reproduces the serial object-engine sweep exactly (wait curves,
-  eval travel times, completion rates), for both a static controller and
-  a learning agent.
+  engine reproduces the per-seed sweep run on object-engine envs exactly
+  (wait curves, eval travel times, completion rates), for both a static
+  controller and a learning agent.
 """
 
 from __future__ import annotations
@@ -92,7 +92,28 @@ class TestEnvEngineSwitch:
             EnvConfig(engine="vectorized")
 
 
+def _on_object_engine(sweep):
+    """``sweep()`` with every experiment env built on the object engine."""
+    from repro.env.tsc_env import EnvConfig
+    from repro.eval import harness
+
+    made = []
+
+    def object_config(**kwargs):
+        made.append(EnvConfig(engine="object", **kwargs))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "EnvConfig", object_config)
+        result = sweep()
+    assert made and all(config.engine == "object" for config in made)
+    return result
+
+
 class TestMultiseedEngineSwitch:
+    """The per-seed sweep runs on object-engine envs, the reference the
+    batched SoA sweep must reproduce."""
+
     def _assert_equal_sweeps(self, serial, batched):
         assert len(serial.runs) == len(batched.runs)
         for run_s, run_b in zip(serial.runs, batched.runs):
@@ -113,7 +134,8 @@ class TestMultiseedEngineSwitch:
                 engine=engine,
             )
 
-        self._assert_equal_sweeps(sweep("object"), sweep("soa"))
+        serial = _on_object_engine(lambda: sweep("object"))
+        self._assert_equal_sweeps(serial, sweep("soa"))
 
     def test_learning_agent_matches_serial(self):
         from repro.agents import PairUpLightSystem
@@ -127,7 +149,8 @@ class TestMultiseedEngineSwitch:
                 engine=engine,
             )
 
-        self._assert_equal_sweeps(sweep("object"), sweep("soa"))
+        serial = _on_object_engine(lambda: sweep("object"))
+        self._assert_equal_sweeps(serial, sweep("soa"))
 
     def test_unknown_engine_rejected(self):
         from repro.agents import MaxPressureSystem

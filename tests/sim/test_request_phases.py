@@ -5,7 +5,8 @@ exactly the state that per-(replica, signal) ``request_phase`` calls on
 the masked cells produce — with and without yellow, for random action
 sequences and partial masks.  ``LockstepEnvGroup.step_all`` builds that
 request from the action dicts; an invalid action raises
-``TrafficSignalEnv._apply_actions``'s message and applies nothing.
+``TrafficSignalEnv._apply_actions``'s message and applies nothing, in a
+lockstep group and in a serial env on either engine.
 """
 
 from __future__ import annotations
@@ -110,6 +111,33 @@ def test_invalid_action_raises_and_applies_nothing():
     assert engine.time == 0
 
 
+def _phases(env):
+    return [
+        (signal.current_phase_index, signal.pending_phase_index, signal.yellow_remaining)
+        for signal in env.sim.signals.values()
+    ]
+
+
+@pytest.mark.parametrize("engine", ["object", "soa"])
+def test_serial_invalid_action_applies_nothing(engine):
+    """A serial env validates every entry before applying any, on
+    either engine, so a caught ``ConfigError`` leaves the signals as
+    they were."""
+    env = make_experiment(SCALE, seed=SEEDS[0]).train_env(1)
+    env.config.engine = engine
+    env.reset(seed=SEEDS[0])
+    before = _phases(env)
+    agents = env.agent_ids
+    # Valid entries before and after the bad one, each asking for a
+    # phase change that would show in the signal state if applied.
+    actions = {a: 1 for a in agents}
+    actions[agents[4]] = env.action_spaces[agents[4]].n
+    with pytest.raises(ConfigError, match="invalid action"):
+        env.step(actions)
+    assert _phases(env) == before
+    assert env.sim.time == 0
+
+
 def test_partial_and_reordered_action_dicts():
     """Action dicts need not list every agent in agent order."""
     envs = _envs()
@@ -125,8 +153,9 @@ def test_partial_and_reordered_action_dicts():
         None,
     ]
     vector_group.step_all(actions)
+    # Reference: one per-cell ``request_phase`` per entry, in dict order.
     for env, acts in zip(scalar_envs, actions):
-        if acts is not None:
-            env._apply_actions(acts)
+        for node_id, action in (acts or {}).items():
+            env.sim.set_phase(node_id, int(action))
     scalar_group.engine.step(scalar_envs[0].config.delta_t)
     _assert_same(vector_group.engine, scalar_group.engine)
