@@ -4,6 +4,11 @@ The paper (Algorithm 1, line 2) initializes both the policy and the critic
 with *orthogonal* initialization, the standard choice for PPO.  Xavier and
 He initializers are provided for the baselines (CoLight's GAT stack, MA2C's
 actor-critic heads).
+
+Every scheme returns a C-ordered (row-major) array, the order
+:class:`repro.nn.module.Parameter` requires: a GEMM's rounding depends on
+its operands' memory order, so one order for every weight keeps a trained
+run and a run resumed from a checkpoint bit-identical.
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ def orthogonal(shape: tuple[int, int], gain: float, rng: np.random.Generator) ->
     """Orthogonal matrix initialization (Saxe et al., 2014).
 
     For non-square shapes the semi-orthogonal factor from a QR
-    decomposition of a Gaussian matrix is used.
+    decomposition of a Gaussian matrix is used.  A weight wider than it
+    is tall is the transpose of that factor; it is copied into C order
+    here, so every orthogonal weight is C-ordered whatever its shape.
     """
     if len(shape) != 2:
         raise ValueError("orthogonal init requires a 2-D shape")
@@ -26,7 +33,7 @@ def orthogonal(shape: tuple[int, int], gain: float, rng: np.random.Generator) ->
     q *= np.sign(np.diag(r))
     if rows < cols:
         q = q.T
-    return gain * q[:rows, :cols]
+    return np.ascontiguousarray(gain * q[:rows, :cols])
 
 
 def xavier_uniform(shape: tuple[int, int], gain: float, rng: np.random.Generator) -> np.ndarray:

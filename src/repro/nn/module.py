@@ -15,10 +15,17 @@ from repro.nn.tensor import Tensor
 
 
 class Parameter(Tensor):
-    """A :class:`Tensor` that is always trainable."""
+    """A :class:`Tensor` that is always trainable.
+
+    Its data must be C-ordered (``ValueError`` otherwise).  Loading,
+    copying, Polyak averaging and every optimizer step keep that order,
+    so it is checked here once.
+    """
 
     def __init__(self, data) -> None:
         super().__init__(data, requires_grad=True)
+        if not self.data.flags.c_contiguous:
+            raise ValueError("Parameter data must be C-ordered (row-major)")
 
 
 class Module:
@@ -96,7 +103,7 @@ class Module:
                 )
             staged[name] = value
         for name, param in own.items():
-            param.data = staged[name].copy()
+            param.data = staged[name].copy(order="C")
 
     def copy_from(self, other: "Module") -> None:
         """Hard-copy parameters from a structurally identical module."""

@@ -151,25 +151,25 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic with a single exp.
+def _stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable logistic with a single exp, into ``out`` if given.
 
-    For ``x >= 0`` this is ``1/(1+exp(-x))``, for ``x < 0`` it is
-    ``exp(x)/(1+exp(x))`` — the same two branches as the textbook
-    formulation, sharing ``exp(-|x|)``.  Shared by :meth:`Tensor.sigmoid`
-    and the fused :func:`lstm_cell` so both paths are bit-identical.
+    With ``e = exp(-min(|x|, 500))`` this is ``max(e, [x >= 0]) / (1 + e)``:
+    ``e <= 1`` when ``x >= 0``, so the numerator is 1 and the value is the
+    textbook ``1/(1+exp(-x))``; ``e > 0`` when ``x < 0``, so it is ``e`` and
+    the value is ``exp(x)/(1+exp(x))``.  It equals the two-branch form
+    bit for bit, NaN and the clamp included, without a mask.  ``out``
+    may alias ``x``.  Shared by :meth:`Tensor.sigmoid` and the fused LSTM
+    kernels so every path is bit-identical.
     """
-    # ``|clip(x, -500, 500)| == min(|x|, 500)``, so the clamp folds into
-    # the magnitude pass; every value below is bit-identical to the
-    # textbook ``exp(-|clip(x)|)`` formulation.
-    t = np.abs(x)
-    np.minimum(t, 500.0, out=t)
-    np.negative(t, out=t)
-    e = np.exp(t, out=t)
+    nonneg = x >= 0
+    e = np.abs(x, out=out)
+    np.minimum(e, 500.0, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     d = 1.0 + e
-    pos = np.divide(1.0, d)
-    neg = np.divide(e, d, out=d)
-    return np.where(x >= 0, pos, neg)
+    np.maximum(e, nonneg, out=e)
+    return np.divide(e, d, out=e)
 
 
 class Tensor:
@@ -672,12 +672,6 @@ def _ws_buffer(workspace: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
     return buf
 
 
-def _is_fortran(array: np.ndarray) -> bool:
-    """True for a Fortran-ordered (column-major) array that is not also
-    C-ordered, i.e. one that BLAS reads as a transposed operand."""
-    return array.flags.f_contiguous and not array.flags.c_contiguous
-
-
 def affine(
     x: Union[Tensor, ArrayLike],
     weight: Union[Tensor, ArrayLike],
@@ -1026,7 +1020,10 @@ def lstm_sequence(*trunks: tuple, workspace: dict | None = None) -> tuple[Tensor
     to :meth:`Tensor._accumulate` once, and trunks whose output received
     no gradient accumulate nothing.  Forwards and accumulated gradients
     are therefore bit-exact with a per-step :func:`lstm_trunk` unroll of
-    each trunk followed by :func:`stack`.
+    each trunk followed by :func:`stack`.  The kernel stacks the LSTM
+    weights C-ordered; a GEMM's rounding depends on its operands' memory
+    order, so the contract covers C-ordered weights, the only order a
+    :class:`repro.nn.module.Parameter` holds.
 
     Saved activations live in ``workspace`` buffers reused across calls
     (one dict per caller, e.g. per PPO updater), so a graph is
@@ -1055,13 +1052,6 @@ def lstm_sequence(*trunks: tuple, workspace: dict | None = None) -> tuple[Tensor
             raise ValueError(
                 "lstm_sequence trunks need one encoder width and hidden size"
             )
-    # A GEMM's rounding depends on its operands' memory order, so the
-    # stacked LSTM weights keep the order the trunks' weights share
-    # (orthogonal init leaves them Fortran-ordered, a checkpoint load
-    # C-ordered).
-    fortran = [_is_fortran(trunk[3].data) for trunk in trunks]
-    if any(f != fortran[0] for f in fortran):
-        raise ValueError("lstm_sequence trunks need one LSTM weight memory order")
     groups = len(trunks)
     # A no-grad call saves nothing for a backward, so it must not
     # overwrite the buffers a pending graph saved.
@@ -1076,10 +1066,9 @@ def lstm_sequence(*trunks: tuple, workspace: dict | None = None) -> tuple[Tensor
     act = _ws_buffer(ws, "seq_act", (steps, groups, rows, 4 * hs))
     cell = _ws_buffer(ws, "seq_cell", (steps + 1, groups, rows, hs))
     tanh_c = _ws_buffer(ws, "seq_tanh_c", (steps, groups, rows, hs))
-    if fortran[0]:
-        w = _ws_buffer(ws, "seq_w", (groups, 4 * hs, width)).transpose(0, 2, 1)
-    else:
-        w = _ws_buffer(ws, "seq_w", (groups, width, 4 * hs))
+    # Stacked C-ordered, the order every Parameter has, so each step's
+    # GEMM rounds as lstm_trunk's ``xh @ weight`` does.
+    w = _ws_buffer(ws, "seq_w", (groups, width, 4 * hs))
     b = _ws_buffer(ws, "seq_b", (groups, 1, 4 * hs))
     for g, (x, enc_weight, enc_bias, weight, bias) in enumerate(trunks):
         # Batched over steps: one (N, D) @ (D, E) GEMM per step, as in
@@ -1099,9 +1088,9 @@ def lstm_sequence(*trunks: tuple, workspace: dict | None = None) -> tuple[Tensor
         np.matmul(xh[t], w, out=gates)
         gates += b
         # Gate layout [i, f, g, o]: tanh for g, sigmoid (elementwise,
-        # so one call over all four) for the rest.
+        # so one in-place call over all four) for the rest.
         np.tanh(gates[..., 2 * hs : 3 * hs], out=g_act)
-        gates[...] = _stable_sigmoid(gates)
+        _stable_sigmoid(gates, out=gates)
         gates[..., 2 * hs : 3 * hs] = g_act
         c = cell[t + 1]
         np.multiply(gates[..., hs : 2 * hs], cell[t], out=c)

@@ -9,27 +9,51 @@ matches SUMO's default ``duarouter`` behaviour for uncongested planning.
 from __future__ import annotations
 
 import heapq
-from functools import lru_cache
 
 from repro.errors import NetworkError
 from repro.sim.network import RoadNetwork
 
+#: ``RoadNetwork.detector_memo`` key of the route memo.
+_MEMO_KEY = "routes"
+
 
 class Router:
-    """Shortest-route computation with memoisation."""
+    """Shortest-route computation, memoized per network.
+
+    Routes live in ``network.detector_memo`` (which every
+    ``RoadNetwork.add_*`` clears), so every router on one network, and
+    hence every env built on it, computes each route once.
+    """
 
     def __init__(self, network: RoadNetwork) -> None:
         self.network = network
-        self._route_cache: dict[tuple[str, str], list[str]] = {}
+
+    def _memo(self) -> tuple[dict, dict]:
+        """``(routes, arcs)``: the memoized routes by ``(origin,
+        destination)``, and each link's ``(next link, its free-flow
+        ticks)`` successors in declaration order."""
+        memo = self.network.detector_memo.get(_MEMO_KEY)
+        if memo is None:
+            links = self.network.links
+            arcs = {
+                link_id: [
+                    (m.out_link, links[m.out_link].freeflow_ticks)
+                    for m in self.network.movements_from(link_id)
+                ]
+                for link_id in links
+            }
+            memo = self.network.detector_memo[_MEMO_KEY] = ({}, arcs)
+        return memo
 
     def route(self, origin_link: str, destination_link: str) -> list[str]:
         """Shortest link-sequence from ``origin_link`` to ``destination_link``.
 
-        Both endpoints are included.  Raises :class:`NetworkError` when no
-        route exists.
+        Both endpoints are included; the caller gets its own list.
+        Raises :class:`NetworkError` when no route exists.
         """
+        routes, arcs = self._memo()
         key = (origin_link, destination_link)
-        cached = self._route_cache.get(key)
+        cached = routes.get(key)
         if cached is not None:
             return list(cached)
         if origin_link not in self.network.links:
@@ -48,9 +72,8 @@ class Router:
                 continue
             if link_id == destination_link:
                 break
-            for movement in self.network.movements_from(link_id):
-                nxt = movement.out_link
-                nxt_cost = cost + self.network.links[nxt].freeflow_ticks
+            for nxt, link_cost in arcs[link_id]:
+                nxt_cost = cost + link_cost
                 if nxt_cost < best.get(nxt, float("inf")):
                     best[nxt] = nxt_cost
                     parent[nxt] = link_id
@@ -63,18 +86,5 @@ class Router:
         while route[-1] != origin_link:
             route.append(parent[route[-1]])
         route.reverse()
-        self._route_cache[key] = list(route)
+        routes[key] = tuple(route)
         return route
-
-    @lru_cache(maxsize=None)
-    def reachable(self, origin_link: str) -> frozenset[str]:
-        """All links reachable from ``origin_link`` (origin included)."""
-        seen = {origin_link}
-        stack = [origin_link]
-        while stack:
-            link_id = stack.pop()
-            for movement in self.network.movements_from(link_id):
-                if movement.out_link not in seen:
-                    seen.add(movement.out_link)
-                    stack.append(movement.out_link)
-        return frozenset(seen)

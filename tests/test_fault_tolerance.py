@@ -42,6 +42,7 @@ from repro.rl.checkpoint import (
     save_training_checkpoint,
 )
 from repro.rl.runner import train
+from repro.scenarios.grid import build_grid
 
 ALL_FAULTS = FaultConfig(
     detector_dropout=0.1,
@@ -470,29 +471,56 @@ class TestKillAndResume:
             fault_degrade=True,
         )
 
-    def test_resume_reproduces_uninterrupted_run(self, tiny_grid, tmp_path):
-        env = self._env(tiny_grid)
+    def _kill_and_resume(self, make_env_fn, tmp_path):
+        """Train EPISODES uninterrupted; then train 2 episodes ("crash"),
+        resume a fresh agent from the checkpoint and finish.  Returns
+        ``(uninterrupted agent, its history, resumed agent, its history)``."""
+        env = make_env_fn()
         agent = PairUpLightSystem(env, seed=0)
         full = train(agent, env, episodes=self.EPISODES, seed=0)
 
-        # Interrupted run: stop after 2 episodes ("crash"), then resume a
-        # fresh agent from the checkpoint and finish.
-        env1 = self._env(tiny_grid)
+        env1 = make_env_fn()
         first = PairUpLightSystem(env1, seed=0)
         train(first, env1, episodes=2, seed=0,
               checkpoint_dir=str(tmp_path), checkpoint_every=1)
         assert (tmp_path / "checkpoint.npz").exists()
 
-        env2 = self._env(tiny_grid)
+        env2 = make_env_fn()
         resumed_agent = PairUpLightSystem(env2, seed=0)
         resumed = train(resumed_agent, env2, episodes=self.EPISODES, seed=0,
                         resume_from=str(tmp_path))
+        return agent, full, resumed_agent, resumed
 
+    def _assert_bit_exact(self, agent, full, resumed_agent, resumed):
+        """Waits, rewards, weights and optimizer moments equal bit for bit:
+        every parameter is C-ordered before and after a checkpoint load,
+        so both runs' GEMMs round alike."""
         assert len(resumed.episodes) == self.EPISODES
-        np.testing.assert_allclose(resumed.wait_curve, full.wait_curve)
-        np.testing.assert_allclose(resumed.reward_curve, full.reward_curve)
-        for key, value in agent.state_dict().items():
-            np.testing.assert_allclose(resumed_agent.state_dict()[key], value)
+        assert resumed.wait_curve.tobytes() == full.wait_curve.tobytes()
+        assert resumed.reward_curve.tobytes() == full.reward_curve.tobytes()
+        want = {**agent.state_dict(), **agent.training_state()}
+        got = {**resumed_agent.state_dict(), **resumed_agent.training_state()}
+        assert sorted(got) == sorted(want)
+        for key, value in want.items():
+            assert np.asarray(got[key]).tobytes() == np.asarray(value).tobytes(), key
+
+    def test_resume_reproduces_uninterrupted_run(self, tiny_grid, tmp_path):
+        self._assert_bit_exact(
+            *self._kill_and_resume(lambda: self._env(tiny_grid), tmp_path)
+        )
+
+    def test_resume_reproduces_uninterrupted_run_6x6_shared(self, tmp_path):
+        """The production shape: one shared policy over 36 agents, so the
+        PPO update runs full minibatches of ``minibatch_agents = 8``."""
+        grid = build_grid(6, 6)
+
+        def make():
+            return make_env(grid, peak_rate=400.0, t_peak=40.0, horizon_ticks=60)
+
+        agent, full, resumed_agent, resumed = self._kill_and_resume(make, tmp_path)
+        assert agent.config.parameter_sharing
+        assert agent.num_agents > 2 * agent.config.ppo.minibatch_agents == 16
+        self._assert_bit_exact(agent, full, resumed_agent, resumed)
 
     def test_checkpoint_loadable_after_every_episode(self, tiny_grid, tmp_path):
         env = self._env(tiny_grid)
