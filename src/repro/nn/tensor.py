@@ -31,9 +31,13 @@ hand-derived backward:
   actor and critic together: one trunk node per minibatch for both
   networks.
 
-All four are bit-exact with the composed op sequences they replace, in
-forward values *and* accumulated gradients: :func:`lstm_sequence`
-equals a per-trunk :func:`lstm_trunk` unroll byte for byte.
+The first three are bit-exact with the composed op sequences they
+replace, in forward values *and* accumulated gradients.
+:func:`lstm_sequence` equals a per-trunk :func:`lstm_trunk` unroll byte
+for byte in its hidden states, input gradient and bias gradients; it
+forms each weight gradient as one GEMM over the whole sequence, so
+those agree with the unroll to reduction-order rounding and equal a
+whole-sequence oracle that forms the same GEMM.
 """
 
 from __future__ import annotations
@@ -995,10 +999,12 @@ def lstm_sequence(*trunks: tuple, workspace: dict | None = None) -> tuple[Tensor
     a ``(T, N, D_g)`` input sequence and the parameters of one
     :func:`lstm_trunk` (encoder, tanh, LSTM cell).  Trunks may differ in
     input width ``D_g`` but must share ``T``, ``N``, the encoder width
-    and the hidden size ``H`` (``ValueError`` otherwise).  Every LSTM
-    starts from a zero ``(h, c)`` state (Algorithm 1, line 4); the call
-    returns one ``(T, N, H)`` hidden-state tensor per trunk, in order.
-    A single trunk is simply the ``G = 1`` case.
+    ``E`` and the hidden size ``H``; every trunk's shapes must agree
+    (``enc_weight`` is ``(D_g, E)``, ``enc_bias`` ``(E,)``, ``weight``
+    ``(E + H, 4H)``, ``bias`` ``(4H,)``), or ``ValueError`` is raised.
+    Every LSTM starts from a zero ``(h, c)`` state (Algorithm 1, line 4);
+    the call returns one ``(T, N, H)`` hidden-state tensor per trunk, in
+    order.  A single trunk is simply the ``G = 1`` case.
 
     The forward runs each trunk's encoder over the whole sequence before
     the loop; each step then does one stacked ``(G, N, E + H) @
@@ -1010,20 +1016,29 @@ def lstm_sequence(*trunks: tuple, workspace: dict | None = None) -> tuple[Tensor
     backward (the :func:`lstm_cell` stash/tap pattern).
 
     The backward runs BPTT over all trunks at once in reverse step
-    order; the loop keeps only the recurrence (gate derivatives,
-    ``dxh = dpre @ W^T``, the per-step ``xh^T @ dpre`` with its
-    accumulation, and one row sum of ``dpre`` for the bias).  The sums
-    over steps and the encoder tail (tanh', ``dx``, ``dWe``, ``dbe``) run
-    after the loop over the whole sequence.  Every expression replays
-    ``tap_backward``/``trunk_backward``, each parameter's per-step
-    gradients are summed in tape order (``t = T - 1`` first) and handed
-    to :meth:`Tensor._accumulate` once, and trunks whose output received
-    no gradient accumulate nothing.  Forwards and accumulated gradients
-    are therefore bit-exact with a per-step :func:`lstm_trunk` unroll of
-    each trunk followed by :func:`stack`.  The kernel stacks the LSTM
-    weights C-ordered; a GEMM's rounding depends on its operands' memory
-    order, so the contract covers C-ordered weights, the only order a
-    :class:`repro.nn.module.Parameter` holds.
+    order; the loop keeps only the recurrence (gate derivatives and
+    ``dxh = dpre @ W^T``) and writes each step's gate pre-activation
+    gradient ``dpre`` over that step's saved activations.  After the
+    loop, each trunk's LSTM weight gradient is one ``xh^T @ dpre`` GEMM
+    over its ``T·N`` rows in time order, and its encoder weight gradient
+    likewise ``x^T @ dpre_enc``.  The saved buffers are group-major,
+    ``(G, T, N, ·)``, so each trunk's rows are a view, not a copy (``x``
+    too, when the caller's input is contiguous).  The bias sums and the rest of the encoder
+    tail (tanh', ``dx``) also run once over the whole sequence.
+    Trunks whose output received no gradient accumulate nothing.
+
+    The numerical contract: hidden states, the input gradient and the
+    bias gradients are bit-exact with a per-step :func:`lstm_trunk`
+    unroll of each trunk followed by :func:`stack` (each step replays
+    the same numpy expressions, and each bias's per-step gradients are
+    summed in tape order, ``t = T - 1`` first).  The two weight
+    gradients reduce over all ``T·N`` rows in one GEMM instead of ``T``
+    accumulated ones, so they agree with the unroll to reduction-order
+    rounding and bit for bit with a whole-sequence oracle that forms the
+    same GEMM (``tests/helpers.composed_lstm_sequence``).  The kernel
+    stacks the LSTM weights C-ordered; a GEMM's rounding depends on its
+    operands' memory order, so the contract covers C-ordered weights,
+    the only order a :class:`repro.nn.module.Parameter` holds.
 
     Saved activations live in ``workspace`` buffers reused across calls
     (one dict per caller, e.g. per PPO updater), so a graph is
@@ -1045,13 +1060,21 @@ def lstm_sequence(*trunks: tuple, workspace: dict | None = None) -> tuple[Tensor
     enc_out = first_enc.data.shape[-1]
     hs = first_w.data.shape[-1] // 4
     width = enc_out + hs
-    for x, enc_weight, _, weight, _ in trunks:
+    for x, enc_weight, enc_bias, weight, bias in trunks:
         if x.data.ndim != 3 or x.data.shape[:2] != (steps, rows):
             raise ValueError("lstm_sequence trunks need one (steps, batch) shape")
         if enc_weight.data.shape[-1] != enc_out or weight.data.shape != (width, 4 * hs):
             raise ValueError(
                 "lstm_sequence trunks need one encoder width and hidden size"
             )
+        # Broadcasting would accept a (1,) bias in the forward and then
+        # accumulate a full-width gradient into it.
+        if (
+            enc_weight.data.shape != (x.data.shape[-1], enc_out)
+            or enc_bias.data.shape != (enc_out,)
+            or bias.data.shape != (4 * hs,)
+        ):
+            raise ValueError("lstm_sequence trunk parameters have the wrong shape")
     groups = len(trunks)
     # A no-grad call saves nothing for a backward, so it must not
     # overwrite the buffers a pending graph saved.
@@ -1059,11 +1082,13 @@ def lstm_sequence(*trunks: tuple, workspace: dict | None = None) -> tuple[Tensor
     owner = object()
     ws["seq_owner"] = owner
 
-    # Buffers are time-major, so each step works on contiguous (G, N, ·)
-    # blocks.  xh[t] is step t's LSTM input [encoded_t, h_{t-1}]; h_t
-    # lands in xh[t + 1], so the hidden states are xh[1:, ..., E:].
-    xh = _ws_buffer(ws, "seq_xh", (steps + 1, groups, rows, width))
-    act = _ws_buffer(ws, "seq_act", (steps, groups, rows, 4 * hs))
+    # xh and act are group-major, so each trunk's (T·N, ·) rows are one
+    # contiguous view for the weight-gradient GEMMs; a step works on
+    # (G, N, ·) blocks.  xh[:, t] is step t's LSTM input
+    # [encoded_t, h_{t-1}]; h_t lands in xh[:, t + 1], so the hidden
+    # states are xh[:, 1:, :, E:].
+    xh = _ws_buffer(ws, "seq_xh", (groups, steps + 1, rows, width))
+    act = _ws_buffer(ws, "seq_act", (groups, steps, rows, 4 * hs))
     cell = _ws_buffer(ws, "seq_cell", (steps + 1, groups, rows, hs))
     tanh_c = _ws_buffer(ws, "seq_tanh_c", (steps, groups, rows, hs))
     # Stacked C-ordered, the order every Parameter has, so each step's
@@ -1073,32 +1098,36 @@ def lstm_sequence(*trunks: tuple, workspace: dict | None = None) -> tuple[Tensor
     for g, (x, enc_weight, enc_bias, weight, bias) in enumerate(trunks):
         # Batched over steps: one (N, D) @ (D, E) GEMM per step, as in
         # lstm_trunk.
-        encoded = xh[:steps, g, :, :enc_out]
+        encoded = xh[g, :steps, :, :enc_out]
         np.matmul(x.data, enc_weight.data, out=encoded)
         encoded += enc_bias.data
         np.tanh(encoded, out=encoded)
         w[g] = weight.data
         b[g, 0] = bias.data
-    xh[0, :, :, enc_out:] = 0.0
+    xh[:, 0, :, enc_out:] = 0.0
     cell[0] = 0.0
+    # Each step's gates are computed in one contiguous block, then saved
+    # to their strided act[:, t] slot with one copy: elementwise work on
+    # the strided slot runs about twice as slow.
+    gates = _ws_buffer(ws, "seq_gates", (groups, rows, 4 * hs))
     g_act = _ws_buffer(ws, "seq_g_act", (groups, rows, hs))
     ig = _ws_buffer(ws, "seq_ig", (groups, rows, hs))
     for t in range(steps):
-        gates = act[t]
-        np.matmul(xh[t], w, out=gates)
+        np.matmul(xh[:, t], w, out=gates)
         gates += b
         # Gate layout [i, f, g, o]: tanh for g, sigmoid (elementwise,
         # so one in-place call over all four) for the rest.
         np.tanh(gates[..., 2 * hs : 3 * hs], out=g_act)
         _stable_sigmoid(gates, out=gates)
         gates[..., 2 * hs : 3 * hs] = g_act
+        act[:, t] = gates
         c = cell[t + 1]
         np.multiply(gates[..., hs : 2 * hs], cell[t], out=c)
         np.multiply(gates[..., :hs], g_act, out=ig)
         c += ig
         np.tanh(c, out=tanh_c[t])
-        np.multiply(gates[..., 3 * hs :], tanh_c[t], out=xh[t + 1, :, :, enc_out:])
-    hidden = np.ascontiguousarray(xh[1:, :, :, enc_out:].transpose(1, 0, 2, 3))
+        np.multiply(gates[..., 3 * hs :], tanh_c[t], out=xh[:, t + 1, :, enc_out:])
+    hidden = np.ascontiguousarray(xh[:, 1:, :, enc_out:])
 
     # Per-trunk (epoch, dH) handed over by the kernel node and the taps;
     # ``woken`` marks an epoch in which only taps received a gradient.
@@ -1113,7 +1142,8 @@ def lstm_sequence(*trunks: tuple, workspace: dict | None = None) -> tuple[Tensor
         epoch = _backward_epoch
         if woken[0] != epoch:
             stash[0] = (epoch, d_first)
-        # The encoder tail below overwrites the saved inputs.
+        # The loop overwrites the saved activations, the encoder tail
+        # the saved inputs.
         ws["seq_owner"] = None
         live = [g for g in range(groups) if stash[g] is not None and stash[g][0] == epoch]
         d_hidden = [
@@ -1121,10 +1151,7 @@ def lstm_sequence(*trunks: tuple, workspace: dict | None = None) -> tuple[Tensor
             for g in range(groups)
         ]
 
-        # Step k of the loop is step t = T - 1 - k, the tape order; the
-        # tables below are indexed by k.
-        d_enc = _ws_buffer(ws, "seq_d_enc", (steps, groups, rows, enc_out))
-        db_steps = _ws_buffer(ws, "seq_db_steps", (steps, groups, 4 * hs))
+        d_enc = _ws_buffer(ws, "seq_d_enc", (groups, steps, rows, enc_out))
         dpre = _ws_buffer(ws, "seq_dpre", (groups, rows, 4 * hs))
         dxh = _ws_buffer(ws, "seq_dxh", (groups, rows, width))
         dh = _ws_buffer(ws, "seq_dh", (groups, rows, hs))
@@ -1132,19 +1159,14 @@ def lstm_sequence(*trunks: tuple, workspace: dict | None = None) -> tuple[Tensor
         tap = _ws_buffer(ws, "seq_tap", (groups, rows, hs))
         u = _ws_buffer(ws, "seq_u", (groups, rows, hs))
         s = _ws_buffer(ws, "seq_s", (groups, rows, hs))
-        dw_shape = (groups, width, 4 * hs)
-        sum_dw = _ws_buffer(ws, "seq_sum_dw", dw_shape)
-        step_dw = _ws_buffer(ws, "seq_step_dw", dw_shape)
         w_t = w.transpose(0, 2, 1)
-        want_dw = any(trunks[g][3].requires_grad for g in live)
         di = dpre[..., 0 * hs : 1 * hs]
         df = dpre[..., 1 * hs : 2 * hs]
         dg = dpre[..., 2 * hs : 3 * hs]
         do = dpre[..., 3 * hs : 4 * hs]
         dh_rec = dc_rec = None
-        for k in range(steps):
-            t = steps - 1 - k
-            gates = act[t]
+        for t in range(steps - 1, -1, -1):
+            gates = act[:, t]
             i_gate = gates[..., 0 * hs : 1 * hs]
             f_gate = gates[..., 1 * hs : 2 * hs]
             g_gate = gates[..., 2 * hs : 3 * hs]
@@ -1177,46 +1199,47 @@ def lstm_sequence(*trunks: tuple, workspace: dict | None = None) -> tuple[Tensor
             do *= o_gate
             np.subtract(1.0, o_gate, out=s)
             do *= s
-            # The composed path scatters each gate grad into a zeroed
-            # array, which flushes negative zeros; match it.
-            dpre += 0.0
-            # Row sums reduce like lstm_trunk's ``np.sum(axis=0)``.
-            np.add.reduce(dpre, axis=1, out=db_steps[k])
-            if want_dw:
-                xh_t = xh[t].transpose(0, 2, 1)
-                np.matmul(xh_t, dpre, out=sum_dw if k == 0 else step_dw)
-                if k:
-                    sum_dw += step_dw
-            np.matmul(dpre, w_t, out=dxh)
-            d_enc[k] = dxh[..., :enc_out]
             if t > 0:
-                dh_rec = dxh[..., enc_out:]
                 dc_rec = np.multiply(dc, f_gate, out=dc_buf)
+            # The composed path scatters each gate grad into a zeroed
+            # array, which flushes negative zeros; match it.  The gates
+            # are dead now, so dpre_t takes their slot.
+            np.add(dpre, 0.0, out=gates)
+            np.matmul(gates, w_t, out=dxh)
+            d_enc[:, t] = dxh[..., :enc_out]
+            dh_rec = dxh[..., enc_out:]
 
-        # Encoder tail over the whole sequence; _sum_steps adds per-step
-        # gradients in tape order.
-        db = _sum_steps(db_steps)
+        # Weight gradients first: the encoder tail below overwrites the
+        # saved inputs.  Reverse trunk order, as G separate calls' nodes
+        # would fire.
+        for g in reversed(live):
+            weight = trunks[g][3]
+            if weight.requires_grad:
+                xh_rows = xh[g, :steps].reshape(steps * rows, width)
+                dpre_rows = act[g].reshape(steps * rows, 4 * hs)
+                weight._accumulate(np.matmul(xh_rows.T, dpre_rows))
+        # Bias row sums reduce like lstm_trunk's ``np.sum(axis=0)``, and
+        # _sum_steps adds them in tape order.
+        db = _sum_steps(np.add.reduce(act, axis=2).transpose(1, 0, 2)[::-1])
         # tanh' = 1 - encoded^2, computed in place over the saved inputs;
         # d_enc then becomes the encoder pre-activation gradient.
-        tanh_grad = xh[steps - 1 :: -1, :, :, :enc_out]
+        tanh_grad = xh[:, :steps, :, :enc_out]
         np.multiply(tanh_grad, tanh_grad, out=tanh_grad)
         np.subtract(1.0, tanh_grad, out=tanh_grad)
         d_enc *= tanh_grad
-        dbe = _sum_steps(np.add.reduce(d_enc, axis=2))
-        # Reverse trunk order, as G separate calls' nodes would fire.
+        dbe = _sum_steps(np.add.reduce(d_enc, axis=2).transpose(1, 0, 2)[::-1])
         for g in reversed(live):
-            x, enc_weight, enc_bias, weight, bias = trunks[g]
-            if weight.requires_grad:
-                weight._accumulate(sum_dw[g])
+            x, enc_weight, enc_bias, _, bias = trunks[g]
             if bias.requires_grad:
                 bias._accumulate(db[g])
             if enc_bias.requires_grad:
                 enc_bias._accumulate(dbe[g])
             if x.requires_grad:
-                x._accumulate(np.matmul(d_enc[::-1, g], enc_weight.data.T))
+                x._accumulate(np.matmul(d_enc[g], enc_weight.data.T))
             if enc_weight.requires_grad:
-                x_t = x.data[::-1].transpose(0, 2, 1)
-                enc_weight._accumulate(_sum_steps(np.matmul(x_t, d_enc[:, g])))
+                x_rows = x.data.reshape(steps * rows, -1)
+                d_rows = d_enc[g].reshape(steps * rows, enc_out)
+                enc_weight._accumulate(np.matmul(x_rows.T, d_rows))
 
     leaves = tuple(v for trunk in trunks for v in trunk)
     kernel = Tensor._from_op(hidden[0], leaves, sequence_backward)

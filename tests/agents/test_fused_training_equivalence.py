@@ -5,7 +5,11 @@ Three contracts on a tiny grid:
 * fused kernels vs the composed op chains of ``helpers.composed_kernels``
   — the fused LSTM trunk / affine kernels replace composed op chains
   *with the same op order*, so full training episodes must produce
-  bit-identical parameters and stats.
+  bit-identical parameters and stats.  The sequence kernel's oracle
+  (``helpers.composed_lstm_sequence``) keeps every value and recurrence
+  as a per-step chain and forms each trunk weight gradient as one GEMM
+  over the sequence's T*N rows, as the kernel does; a per-step unroll
+  would agree with the kernel's weight gradients only to rounding.
 * ``helpers.evaluate_shared_stepwise`` (the pre-change per-step-heads
   evaluator) vs the sequence-level evaluator — forward outputs are
   row-local and must match bit-exactly; weight gradients reduce over

@@ -107,10 +107,16 @@ def check_engine_invariants(sim, teleport=None) -> None:
 # Composed-op oracles for the fused nn kernels
 # ---------------------------------------------------------------------
 # Each fused kernel in ``repro.nn.tensor`` replaces a chain of generic
-# ops with one graph node and a hand-derived backward, bit-exact in
-# forward values and accumulated gradients.  The chains below are those
-# generic-op formulations, kept here as the oracles the kernels are
-# compared against.
+# ops with one graph node and a hand-derived backward.  The chains below
+# are those generic-op formulations, kept here as the oracles the
+# kernels are compared against, bit for bit in forward values and
+# accumulated gradients.  ``affine``, ``lstm_cell`` and ``lstm_trunk``
+# are plain chains.  ``lstm_sequence`` keeps every value and recurrence
+# as a per-step chain, but forms each of the two weight gradients as one
+# GEMM over the sequence's T·N rows, as the kernel does; its hidden
+# states, input gradient and bias gradients are those of the per-step
+# ``lstm_trunk`` unroll, and its weight gradients agree with that
+# unroll to reduction-order rounding.
 
 
 def composed_affine(x, weight, bias=None) -> Tensor:
@@ -123,10 +129,15 @@ def composed_affine(x, weight, bias=None) -> Tensor:
 
 def composed_lstm_cell(x, h_prev, c_prev, weight, bias, workspace=None):
     """One LSTM step as the ~15-node gate chain; returns ``(h, c)``."""
-    h_prev = Tensor.ensure(h_prev)
+    gates = concat([Tensor.ensure(x), Tensor.ensure(h_prev)], axis=-1) @ weight + bias
+    return _composed_gates(gates, c_prev)
+
+
+def _composed_gates(gates, c_prev):
+    """The gate and state chain of one LSTM step from its ``[i, f, g, o]``
+    pre-activations; returns ``(h, c)``."""
     c_prev = Tensor.ensure(c_prev)
-    gates = concat([Tensor.ensure(x), h_prev], axis=-1) @ weight + bias
-    hs = h_prev.shape[-1]
+    hs = c_prev.shape[-1]
     i_gate = gates[:, 0 * hs : 1 * hs].sigmoid()
     f_gate = gates[:, 1 * hs : 2 * hs].sigmoid()
     g_gate = gates[:, 2 * hs : 3 * hs].tanh()
@@ -145,18 +156,59 @@ def composed_lstm_trunk(
 
 
 def composed_lstm_sequence(*trunks, workspace=None) -> tuple:
-    """Each trunk unrolled step by step from a zero state, then stacked."""
-    outputs = []
-    for x, enc_weight, enc_bias, weight, bias in trunks:
-        x = Tensor.ensure(x)
-        h = np.zeros((x.shape[1], weight.shape[-1] // 4))
-        c = np.zeros_like(h)
-        hidden = []
-        for t in range(x.shape[0]):
-            h, c = composed_lstm_trunk(x[t], h, c, enc_weight, enc_bias, weight, bias)
-            hidden.append(h)
-        outputs.append(stack(hidden, axis=0))
-    return tuple(outputs)
+    """Each trunk unrolled step by step from a zero state, then stacked.
+
+    Every step is the composed trunk chain, except that the encoder and
+    LSTM weights enter it as constants and a tap on each step's encoder
+    and gate pre-activation records the gradient arriving there.  An
+    anchor node, created before the unroll so that its backward fires
+    after every step's, then forms each weight gradient as one GEMM
+    over the ``T·N`` rows in time order: the stacked step inputs,
+    transposed, times the stacked pre-activation gradients.  That is
+    the row order and operand memory order of ``lstm_sequence``.
+    """
+    return tuple(_composed_sequence_trunk(*trunk) for trunk in trunks)
+
+
+def _composed_sequence_trunk(x, enc_weight, enc_bias, weight, bias) -> Tensor:
+    x = Tensor.ensure(x)
+    params = (Tensor.ensure(enc_weight), Tensor.ensure(weight))
+    steps = x.shape[0]
+    # Per weight and step: the GEMM input (x_t, then [encoded_t, h_{t-1}])
+    # and the pre-activation gradient the weight's GEMM pairs it with.
+    inputs = ([None] * steps, [None] * steps)
+    dpre = ([None] * steps, [None] * steps)
+
+    def anchor_backward(_) -> None:
+        for param, rows, grads in zip(params, inputs, dpre):
+            if param.requires_grad:
+                param._accumulate(np.concatenate(rows).T @ np.concatenate(grads))
+
+    anchor = Tensor._from_op(np.zeros(()), params, anchor_backward)
+
+    def tapped(pre: Tensor, k: int, t: int) -> Tensor:
+        def tap_backward(grad: np.ndarray) -> None:
+            dpre[k][t] = grad
+            if pre.requires_grad:
+                pre._accumulate(grad)
+            if anchor.requires_grad:
+                anchor._accumulate(np.zeros(()))
+
+        return Tensor._from_op(pre.data, (pre, anchor), tap_backward)
+
+    enc_const, weight_const = (Tensor(p.data) for p in params)
+    h = np.zeros((x.shape[1], weight_const.shape[-1] // 4))
+    c = np.zeros_like(h)
+    hidden = []
+    for t in range(steps):
+        x_t = x[t]
+        inputs[0][t] = x_t.data
+        encoded = tapped(composed_affine(x_t, enc_const, enc_bias), 0, t).tanh()
+        xh = concat([encoded, Tensor.ensure(h)], axis=-1)
+        inputs[1][t] = xh.data
+        h, c = _composed_gates(tapped(xh @ weight_const + bias, 1, t), c)
+        hidden.append(h)
+    return stack(hidden, axis=0)
 
 
 _COMPOSED = {

@@ -1,23 +1,43 @@
 """Oracle tests for the grouped whole-sequence trunk kernel ``lstm_sequence``.
 
-The oracle is the per-step :func:`lstm_trunk` unroll from a zero state
-followed by :func:`stack`, once per trunk.  The kernel must match it bit
-for bit: the forward hidden states and every accumulated parameter
-gradient, with a downstream head consuming the stacked output so the
-head gradient ``dH`` is routed into every step.  The single-trunk tests
-come first; the production-shape and grouped (G = 2) tests follow.
+Two oracles, each run once per trunk from a zero state, with a
+downstream head consuming the stacked output so the head gradient
+``dH`` is routed into every step:
+
+* the per-step :func:`lstm_trunk` unroll followed by :func:`stack`.
+  The kernel matches it bit for bit in the hidden states, the input
+  gradient and the two bias gradients (each bias sums its per-step
+  gradients in tape order);
+* the whole-sequence oracle ``helpers.composed_lstm_sequence``, which
+  keeps every value as a per-step chain but forms each weight gradient
+  as one GEMM over the ``T·N`` rows in time order, as the kernel does.
+  The kernel matches it bit for bit in the encoder and LSTM weight
+  gradients.  Against the unroll, which accumulates ``T`` per-step
+  GEMMs, those two agree only to reduction-order rounding, within the
+  forward-error bound checked by the property test at the end.
+
+The single-trunk tests come first; the production-shape and grouped
+(G = 2) tests follow.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.nn.tensor as tensor_mod
+from helpers import composed_lstm_sequence
 from repro.nn.initializers import orthogonal
 from repro.nn.tensor import Tensor, affine, lstm_sequence, lstm_trunk, no_grad, stack
 
 FEATURES, ENCODED, HIDDEN = 5, 4, 3
+
+#: Positions of the encoder and LSTM weights in a trunk's parameter list
+#: ``[enc_weight, enc_bias, weight, bias]``: their gradients are compared
+#: with the whole-sequence oracle, the biases' with the unroll.
+WEIGHTS = (0, 2)
 
 
 def _params() -> list[np.ndarray]:
@@ -54,31 +74,54 @@ def _oracle(xs, params: list[Tensor], workspace: dict) -> Tensor:
     return stack(hidden, axis=0)
 
 
-def _run(xs: np.ndarray, kernel: bool, workspace: dict):
+def _run(xs: np.ndarray, mode: str, workspace: dict):
+    """Hidden states and parameter gradients of one trunk through the
+    ``"kernel"``, the ``"unroll"`` or the whole-``"sequence"`` oracle."""
     params = [Tensor(p, requires_grad=True) for p in _params()]
-    if kernel:
+    if mode == "kernel":
         (hidden,) = lstm_sequence((xs, *params), workspace=workspace)
-    else:
+    elif mode == "unroll":
         hidden = _oracle(xs, params, workspace)
+    else:
+        (hidden,) = composed_lstm_sequence((xs, *params))
     _head_loss(hidden).backward()
     return hidden.data, [p.grad for p in params]
 
 
-def _assert_same(got, want):
+def _assert_same(got, unroll, sequence):
+    """Hidden states and bias gradients equal the unroll's, weight
+    gradients the whole-sequence oracle's."""
     hidden_got, grads_got = got
-    hidden_want, grads_want = want
-    assert np.array_equal(hidden_got, hidden_want)
-    assert len(grads_got) == len(grads_want) == 4
-    for grad_got, grad_want in zip(grads_got, grads_want):
+    assert np.array_equal(hidden_got, unroll[0])
+    assert len(grads_got) == len(unroll[1]) == len(sequence[1]) == 4
+    for k, grad_got in enumerate(grads_got):
+        want = sequence[1][k] if k in WEIGHTS else unroll[1][k]
         assert grad_got is not None
-        assert np.array_equal(grad_got, grad_want)
+        assert np.array_equal(grad_got, want)
 
 
 @pytest.mark.parametrize("steps", [1, 5])
 @pytest.mark.parametrize("rows", [1, 3])
 def test_matches_per_step_unroll_bit_exact(steps, rows):
     xs = _inputs(steps, rows, seed=10 * steps + rows)
-    _assert_same(_run(xs, True, {}), _run(xs, False, {}))
+    _assert_same(
+        _run(xs, "kernel", {}), _run(xs, "unroll", {}), _run(xs, "sequence", {})
+    )
+
+
+def test_sequence_oracle_differs_from_unroll_only_in_weights():
+    """The whole-sequence oracle is the unroll in every value and in the
+    bias gradients; its weight gradients sum the same products in
+    another order."""
+    xs = _inputs(6, 3, seed=11)
+    sequence = _run(xs, "sequence", {})
+    unroll = _run(xs, "unroll", {})
+    assert np.array_equal(sequence[0], unroll[0])
+    for k, (got, want) in enumerate(zip(sequence[1], unroll[1])):
+        if k in WEIGHTS:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+        else:
+            assert np.array_equal(got, want)
 
 
 def test_ragged_second_call_through_same_workspace():
@@ -86,7 +129,11 @@ def test_ragged_second_call_through_same_workspace():
     oracle_ws: dict = {}
     for rows, seed in ((3, 1), (2, 2), (3, 3)):
         xs = _inputs(4, rows, seed)
-        _assert_same(_run(xs, True, workspace), _run(xs, False, oracle_ws))
+        _assert_same(
+            _run(xs, "kernel", workspace),
+            _run(xs, "unroll", oracle_ws),
+            _run(xs, "sequence", {}),
+        )
 
 
 def test_input_gradient_matches_unroll():
@@ -119,7 +166,7 @@ def test_no_grad_records_nothing():
     assert len(tensor_mod._TAPE) == before
     assert not hidden.requires_grad
     assert hidden._backward is None and hidden._parents == ()
-    assert np.array_equal(hidden.data, _run(xs, True, {})[0])
+    assert np.array_equal(hidden.data, _run(xs, "kernel", {})[0])
 
 
 def test_rejects_non_sequence_input():
@@ -188,17 +235,19 @@ def _grouped_loss(hiddens) -> Tensor:
     return total
 
 
-def _run_group(specs, kernel: bool, workspace: dict | None = None):
-    """Run trunks ``specs`` = [(x, params)] through the kernel or the
-    per-trunk unroll; return (hidden, param grads, input grad) per trunk."""
+def _run_group(specs, mode: str, workspace: dict | None = None):
+    """Run trunks ``specs`` = [(x, params)] through the ``"kernel"``, the
+    per-trunk ``"unroll"`` or the whole-``"sequence"`` oracle; return
+    (hidden, param grads, input grad) per trunk."""
     xs = [Tensor(x.copy(), requires_grad=True) for x, _ in specs]
     params = [[Tensor(p.copy(), requires_grad=True) for p in ps] for _, ps in specs]
-    if kernel:
-        hiddens = lstm_sequence(
-            *[(x, *p) for x, p in zip(xs, params)], workspace=workspace
-        )
-    else:
+    trunks = [(x, *p) for x, p in zip(xs, params)]
+    if mode == "kernel":
+        hiddens = lstm_sequence(*trunks, workspace=workspace)
+    elif mode == "unroll":
         hiddens = [_unroll(x, p) for x, p in zip(xs, params)]
+    else:
+        hiddens = composed_lstm_sequence(*trunks)
     _grouped_loss(hiddens).backward()
     return [
         (h.data, [p.grad for p in ps], x.grad)
@@ -213,13 +262,19 @@ def _assert_bits(got, want):
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-def _assert_group_bits(got, want):
-    assert len(got) == len(want)
-    for (h_got, grads_got, dx_got), (h_want, grads_want, dx_want) in zip(got, want):
+def _assert_group_bits(got, specs, workspace: dict | None = None):
+    """Hidden states, input and bias gradients equal the unroll's bytes,
+    weight gradients the whole-sequence oracle's."""
+    unroll = _run_group(specs, "unroll")
+    sequence = _run_group(specs, "sequence")
+    assert len(got) == len(unroll) == len(sequence)
+    for (h_got, grads_got, dx_got), (h_want, grads_want, dx_want), seq in zip(
+        got, unroll, sequence
+    ):
         _assert_bits(h_got, h_want)
         assert len(grads_got) == len(grads_want) == 4
-        for grad_got, grad_want in zip(grads_got, grads_want):
-            _assert_bits(grad_got, grad_want)
+        for k, grad_got in enumerate(grads_got):
+            _assert_bits(grad_got, seq[1][k] if k in WEIGHTS else grads_want[k])
         _assert_bits(dx_got, dx_want)
 
 
@@ -233,7 +288,7 @@ def test_production_shapes_bit_exact(features, rows, orthogonal_init):
             _trunk_params(features, 1, orthogonal_init),
         )
     ]
-    _assert_group_bits(_run_group(specs, True, {}), _run_group(specs, False))
+    _assert_group_bits(_run_group(specs, "kernel", {}), specs)
 
 
 @pytest.mark.parametrize("orthogonal_init", [True, False])
@@ -243,7 +298,7 @@ def test_grouped_actor_critic_bit_exact(rows, orthogonal_init):
         (_prod_inputs(9, rows, seed=2), _trunk_params(9, 3, orthogonal_init)),
         (_prod_inputs(32, rows, seed=4), _trunk_params(32, 5, orthogonal_init)),
     ]
-    _assert_group_bits(_run_group(specs, True, {}), _run_group(specs, False))
+    _assert_group_bits(_run_group(specs, "kernel", {}), specs)
 
 
 def test_grouped_ragged_minibatches_share_a_workspace():
@@ -253,7 +308,7 @@ def test_grouped_ragged_minibatches_share_a_workspace():
             (_prod_inputs(9, rows, seed=rows), _trunk_params(9, 6, True)),
             (_prod_inputs(32, rows, seed=rows + 1), _trunk_params(32, 7, True)),
         ]
-        _assert_group_bits(_run_group(specs, True, workspace), _run_group(specs, False))
+        _assert_group_bits(_run_group(specs, "kernel", workspace), specs)
 
 
 def test_grouped_records_one_kernel_node_and_taps():
@@ -285,12 +340,13 @@ def test_grouped_no_grad_records_nothing():
     for hidden, (xs, *_) in zip(hiddens, trunks):
         assert not hidden.requires_grad
         assert hidden._backward is None and hidden._parents == ()
-        assert np.array_equal(hidden.data, _run(xs, True, {})[0])
+        assert np.array_equal(hidden.data, _run(xs, "kernel", {})[0])
 
 
 def test_grouped_unused_trunk_accumulates_nothing():
     """Only the second trunk feeds the loss: the first trunk's parameters
-    get no gradient, the second's match its unroll."""
+    get no gradient; the second's biases match its unroll and its
+    weights the whole-sequence oracle."""
     specs = [
         (_prod_inputs(9, 4, seed=8), _trunk_params(9, 8, True)),
         (_prod_inputs(32, 4, seed=9), _trunk_params(32, 9, True)),
@@ -299,10 +355,13 @@ def test_grouped_unused_trunk_accumulates_nothing():
     _, second = lstm_sequence(*[(x, *p) for (x, _), p in zip(specs, params)])
     _grouped_loss([second]).backward()
     assert all(p.grad is None for p in params[0])
-    want = [Tensor(p, requires_grad=True) for p in specs[1][1]]
-    _grouped_loss([_unroll(Tensor(specs[1][0]), want)]).backward()
-    for got, expected in zip(params[1], want):
-        _assert_bits(got.grad, expected.grad)
+    unroll = [Tensor(p, requires_grad=True) for p in specs[1][1]]
+    _grouped_loss([_unroll(Tensor(specs[1][0]), unroll)]).backward()
+    sequence = [Tensor(p, requires_grad=True) for p in specs[1][1]]
+    _grouped_loss(composed_lstm_sequence((specs[1][0], *sequence))).backward()
+    for k, got in enumerate(params[1]):
+        want = sequence[k] if k in WEIGHTS else unroll[k]
+        _assert_bits(got.grad, want.grad)
 
 
 def test_workspace_reuse_before_backward_raises():
@@ -337,6 +396,11 @@ def _mismatched_trunks():
         "rows": [(x, *base), (x[:, :1], *base)],
         "no trunks": [],
         "short trunk": [(x, *base[:3])],
+        # Biases that broadcast in the forward, and an encoder that does
+        # not fit the input width.
+        "scalar bias": [(x, base[0], base[1], base[2], np.zeros(1))],
+        "scalar encoder bias": [(x, base[0], np.zeros(1), base[2], base[3])],
+        "encoder rows": [(x[..., :-1], *base)],
     }
 
 
@@ -353,3 +417,80 @@ def test_second_backward_through_the_kernel_raises():
     loss.backward()
     with pytest.raises(RuntimeError):
         loss.backward()
+
+
+# ----------------------------------------------------------------------
+# Weight gradients against the unroll: reduction-order rounding only
+# ----------------------------------------------------------------------
+_U = np.finfo(np.float64).eps / 2
+
+
+def _gamma(n: int) -> float:
+    """Higham's ``γ_n = n·u / (1 - n·u)``, u the unit roundoff."""
+    return n * _U / (1.0 - n * _U)
+
+
+def _weight_gradient_magnitudes(x, params, workspace: dict, g: int, hidden):
+    """``Σ|input|·|dpre|`` over the ``T·N`` rows for trunk ``g``'s encoder
+    and LSTM weight, read after the backward: the kernel leaves each
+    step's gate and encoder pre-activation gradients in its ``seq_act``
+    and ``seq_d_enc`` buffers."""
+    enc_weight, enc_bias = params[:2]
+    steps, rows = x.shape[:2]
+    encoded = np.tanh(x @ enc_weight + enc_bias)
+    h_prev = np.concatenate([np.zeros((1, *hidden.shape[1:])), hidden[:-1]])
+    xh = np.concatenate([encoded, h_prev], axis=-1).reshape(steps * rows, -1)
+    dpre = workspace["seq_act"][g].reshape(steps * rows, -1)
+    dpre_enc = workspace["seq_d_enc"][g].reshape(steps * rows, -1)
+    x_rows = x.reshape(steps * rows, -1)
+    return np.abs(x_rows).T @ np.abs(dpre_enc), np.abs(xh).T @ np.abs(dpre)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    steps=st.integers(1, 12),
+    row_counts=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    features=st.lists(st.integers(1, 7), min_size=1, max_size=2),
+    seed=st.integers(0, 2**16),
+)
+def test_weight_gradients_within_forward_error_of_unroll(
+    steps, row_counts, features, seed
+):
+    """Both weight gradients sum the same ``T·N`` products per element,
+    the kernel in one GEMM and the unroll over ``T`` per-step GEMMs.
+    Each sum is within ``γ_{T·N}·Σ|input|·|dpre|`` of the exact one, so
+    the two are within twice that of each other.  ``G`` is 1 or 2
+    trunks of distinct widths, run over ragged row counts through one
+    workspace."""
+    rng = np.random.default_rng(seed)
+    workspace: dict = {}
+    for rows in row_counts:
+        specs = [
+            (
+                rng.standard_normal((steps, rows, width)),
+                [
+                    rng.standard_normal((width, ENCODED)) * 0.5,
+                    rng.standard_normal(ENCODED) * 0.5,
+                    rng.standard_normal((ENCODED + HIDDEN, 4 * HIDDEN)) * 0.5,
+                    rng.standard_normal(4 * HIDDEN) * 0.5,
+                ],
+            )
+            for width in features
+        ]
+        kernel = [[Tensor(p, requires_grad=True) for p in ps] for _, ps in specs]
+        unroll = [[Tensor(p, requires_grad=True) for p in ps] for _, ps in specs]
+        hiddens = lstm_sequence(
+            *[(x, *ps) for (x, _), ps in zip(specs, kernel)], workspace=workspace
+        )
+        sum(_head_loss(h) for h in hiddens).backward()
+        sum(_head_loss(_oracle(x, ps, {})) for (x, _), ps in zip(specs, unroll)).backward()
+        bound = 2.0 * _gamma(steps * rows)
+        for g, ((x, params), got, want) in enumerate(zip(specs, kernel, unroll)):
+            magnitudes = _weight_gradient_magnitudes(
+                x, params, workspace, g, hiddens[g].data
+            )
+            for k, magnitude in zip(WEIGHTS, magnitudes):
+                assert np.all(np.abs(got[k].grad - want[k].grad) <= bound * magnitude)
+            # The biases stay bit-exact.
+            for k in (1, 3):
+                assert np.array_equal(got[k].grad, want[k].grad)
