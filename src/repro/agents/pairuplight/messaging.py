@@ -39,6 +39,12 @@ import numpy as np
 
 from repro.env.tsc_env import TrafficSignalEnv
 from repro.errors import ConfigError
+from repro.faults.schedule import (
+    MESSAGE_CORRUPT,
+    MESSAGE_DELAY,
+    MESSAGE_DROP,
+    MESSAGE_FAULTS,
+)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -233,8 +239,9 @@ class MessageRouter:
         Partners come from the ``(B, M)`` ``congestion`` matrix and are
         read with one gather.  A replica without a faulty channel needs
         nothing more: its resilient reader is a pass-through whose state
-        is never read.  A replica with one (``channels[b]``) runs the
-        per-agent deliver/receive loop on the selected partners' messages.
+        is never read.  A replica with one (``channels[b]``) passes the
+        gathered rows through :meth:`FaultyMessageChannel.deliver_rows`
+        and resolves the losses on arrays.
         """
         partners = select_partner_rows(
             self.table, self.strategy, congestion, live_rows, rng=rng
@@ -244,11 +251,12 @@ class MessageRouter:
             channel = channels[b]
             if channel is None:
                 continue
-            incoming_b, own = incoming[b], messages[b]
-            for i, agent_id in enumerate(self.agent_ids):
-                incoming_b[i] = self._receive(
-                    agent_id, channel.deliver(agent_id, incoming_b[i]), own[i], readers[b]
-                )
+            delivered, lost = channel.deliver_rows(incoming[b])
+            if self.degrade_on_loss:
+                readers[b].receive_rows(delivered, lost, messages[b], out=incoming[b])
+            else:
+                delivered[lost] = 0.0
+                incoming[b] = delivered
 
     def route_reference(
         self,
@@ -270,18 +278,9 @@ class MessageRouter:
             message = board.read(partner)
             if channel is not None:
                 message = channel.deliver(agent_id, message)
-            incoming_b[i] = self._receive(
-                agent_id, message, board.read(agent_id), reader
-            )
-
-    def _receive(self, agent_id, message, own_message, reader) -> np.ndarray:
-        """Resolve one (possibly lost) delivery: the resilient reader's
-        fallback, or zeros for the no-fallback ablation."""
-        if self.degrade_on_loss:
-            return reader.receive(agent_id, message, own_message)
-        if message is None:
-            return np.zeros(self.message_dim)
-        return message
+            if self.degrade_on_loss:
+                message = reader.receive(agent_id, message, board.read(agent_id))
+            incoming_b[i] = 0.0 if message is None else message
 
 
 class MessageBoard:
@@ -348,6 +347,11 @@ class FaultyMessageChannel:
     *corrupted* (the payload is replaced by channel garbage).  What the
     receiver does about a drop is the agent's graceful-degradation
     policy, not the channel's — see :class:`ResilientMessageReader`.
+
+    The previous deliveries are one ``(M, D)`` array, row ``i`` for
+    ``agent_ids[i]``.  :meth:`deliver` transports one receiver's
+    message; :meth:`deliver_rows` transports every receiver's at once
+    with the same draws in the same order.
     """
 
     def __init__(
@@ -362,30 +366,51 @@ class FaultyMessageChannel:
         #: Optional zero-arg callable returning the current simulation
         #: tick; only invoked when the schedule has a telemetry sink.
         self.clock = clock
-        self._prev_delivered: dict[str, np.ndarray] = {
-            agent_id: np.zeros(message_dim) for agent_id in agent_ids
-        }
+        self.agent_ids = list(agent_ids)
+        self._row = {agent_id: i for i, agent_id in enumerate(self.agent_ids)}
+        self._prev_delivered = np.zeros((len(self.agent_ids), message_dim))
 
     def reset(self) -> None:
-        for agent_id in self._prev_delivered:
-            self._prev_delivered[agent_id] = np.zeros(self.message_dim)
+        self._prev_delivered.fill(0.0)
 
     def deliver(self, receiver: str, message: np.ndarray) -> np.ndarray | None:
         """Transport ``message`` to ``receiver``; ``None`` means lost."""
-        config = self.schedule.config
-        if config.message_drop and self.schedule.message_dropped():
-            self._emit("message_drop", receiver)
-            return None
-        if config.message_delay and self.schedule.message_delayed():
-            self._emit("message_delay", receiver)
-            delivered = self._prev_delivered[receiver].copy()
-        elif config.message_corrupt and self.schedule.message_corrupted():
-            self._emit("message_corrupt", receiver)
-            delivered = self.schedule.corrupt(message)
-        else:
-            delivered = np.asarray(message, dtype=np.float64)
-        self._prev_delivered[receiver] = delivered.copy()
-        return delivered
+        row = self._row[receiver]
+        delivered, lost = self._transport(
+            np.array(message, dtype=np.float64, ndmin=2), slice(row, row + 1)
+        )
+        return None if lost[0] else delivered[0]
+
+    def deliver_rows(self, messages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Transport ``messages[i]`` (``(M, D)``) to every receiver ``i``.
+
+        Returns ``(delivered, lost)``: a fresh ``(M, D)`` array and the
+        ``(M,)`` drop mask (a dropped row of ``delivered`` holds its
+        input).  Draws and results are those of ``M`` :meth:`deliver`
+        calls in receiver order.
+        """
+        return self._transport(np.array(messages, dtype=np.float64), slice(None))
+
+    def _transport(
+        self, delivered: np.ndarray, rows: slice
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Apply this tick's faults to ``delivered`` (receivers ``rows``,
+        in order) in place.  The schedule draws the per-message fault
+        flags; the rest is masked array writes."""
+        codes, payloads = self.schedule.message_faults(*delivered.shape)
+        lost = codes == MESSAGE_DROP
+        delayed = codes == MESSAGE_DELAY
+        if len(payloads):
+            delivered[codes == MESSAGE_CORRUPT] = payloads
+        previous = self._prev_delivered[rows]  # a view
+        np.copyto(delivered, previous, where=delayed[:, None])
+        # A drop keeps the receiver's previous delivery.
+        np.copyto(previous, delivered, where=~lost[:, None])
+        if self.schedule.event_sink is not None:
+            receivers = self.agent_ids[rows]
+            for i in np.flatnonzero(codes):
+                self._emit(MESSAGE_FAULTS[codes[i]], receivers[i])
+        return delivered, lost
 
     def _emit(self, kind: str, receiver: str) -> None:
         """First-activation telemetry (no-op without an attached sink)."""
@@ -406,6 +431,10 @@ class ResilientMessageReader:
     to the agent's own previous outgoing message, the same degradation
     the paper prescribes for intersections with no congested upstream
     neighbour.
+
+    State is an ``(M, D)`` last-received array and an ``(M,)`` staleness
+    count, row ``i`` for ``agent_ids[i]``.  :meth:`receive` resolves one
+    agent's delivery, :meth:`receive_rows` every agent's at once.
     """
 
     def __init__(
@@ -422,18 +451,18 @@ class ResilientMessageReader:
         self.message_dim = message_dim
         self.decay = decay
         self.max_staleness = max_staleness
-        self._last: dict[str, np.ndarray] = {
-            agent_id: np.zeros(message_dim) for agent_id in agent_ids
-        }
-        self._staleness: dict[str, int] = {agent_id: 0 for agent_id in agent_ids}
+        self._row = {agent_id: i for i, agent_id in enumerate(agent_ids)}
+        self._last = np.zeros((len(self._row), message_dim))
+        self._staleness = np.zeros(len(self._row), dtype=np.int64)
+        # decay ** s for s <= max_staleness, as Python float powers.
+        self._decay_pow = np.array([decay**s for s in range(max_staleness + 1)])
 
     def reset(self) -> None:
-        for agent_id in self._last:
-            self._last[agent_id] = np.zeros(self.message_dim)
-            self._staleness[agent_id] = 0
+        self._last.fill(0.0)
+        self._staleness.fill(0)
 
     def staleness(self, agent_id: str) -> int:
-        return self._staleness[agent_id]
+        return int(self._staleness[self._row[agent_id]])
 
     def receive(
         self,
@@ -442,12 +471,44 @@ class ResilientMessageReader:
         own_message: np.ndarray,
     ) -> np.ndarray:
         """Resolve one (possibly lost) delivery into a usable message."""
-        if message is not None:
-            self._last[agent_id] = np.asarray(message, dtype=np.float64).copy()
-            self._staleness[agent_id] = 0
-            return self._last[agent_id].copy()
-        self._staleness[agent_id] += 1
-        staleness = self._staleness[agent_id]
-        if staleness > self.max_staleness:
-            return np.asarray(own_message, dtype=np.float64).copy()
-        return self._last[agent_id] * (self.decay**staleness)
+        row = self._row[agent_id]
+        out = np.zeros((1, self.message_dim))
+        delivered = out if message is None else np.array(message, dtype=np.float64, ndmin=2)
+        self._resolve(
+            delivered,
+            np.array([message is None]),
+            np.array(own_message, dtype=np.float64, ndmin=2),
+            out,
+            slice(row, row + 1),
+        )
+        return out[0]
+
+    def receive_rows(
+        self,
+        delivered: np.ndarray,
+        lost: np.ndarray,
+        own_messages: np.ndarray,
+        out: np.ndarray,
+    ) -> None:
+        """:meth:`receive` for every agent: row ``i`` of ``out`` resolves
+        ``delivered[i]``, lost where ``lost[i]``, against
+        ``own_messages[i]``.  ``out`` may alias ``delivered``."""
+        self._resolve(delivered, lost, own_messages, out, slice(None))
+
+    def _resolve(self, delivered, lost, own_messages, out, rows: slice) -> None:
+        """Resolve the deliveries of receivers ``rows`` into ``out``."""
+        last = self._last[rows]  # views
+        staleness = self._staleness[rows]
+        if not np.count_nonzero(lost):
+            last[...] = delivered
+            staleness.fill(0)
+            out[...] = delivered
+            return
+        kept = ~lost[:, None]
+        np.copyto(last, delivered, where=kept)
+        staleness += 1
+        staleness *= lost
+        resolved = last * self._decay_pow[np.minimum(staleness, self.max_staleness), None]
+        np.copyto(resolved, own_messages, where=(staleness > self.max_staleness)[:, None])
+        np.copyto(resolved, delivered, where=kept)
+        out[...] = resolved

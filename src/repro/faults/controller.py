@@ -42,15 +42,32 @@ class FallbackController:
         self.policy = policy
         self.fixed_stage_seconds = fixed_stage_seconds
         self._programs: dict[str, FixedTimeProgram] = {}
-        #: The detector bulk array ``_mp_values`` was listed from.
-        self._mp_array: np.ndarray | None = None
-        self._mp_values: list[float] = []
+        #: The detector bulk array and phase plans ``_mp_picks`` was
+        #: computed from.
+        self._mp_key: tuple = (None, ())
+        self._mp_picks = np.zeros(0, dtype=np.intp)
+        #: This tick's movement pressures plus a trailing zero, the
+        #: value of the phase table's pad slots.
+        self._mp_padded = np.zeros(1)
 
     def action(self, env: TrafficSignalEnv, node_id: str) -> int:
         """Fallback phase for ``node_id`` at the current simulation time."""
         if self.policy == "fixed_time":
             return self._fixed_time_action(env, node_id)
+        if _bulk_suite(env.detectors):
+            return int(self._bulk_max_pressure(env)[env.agent_ids.index(node_id)])
         return self._max_pressure_action(env, node_id)
+
+    def actions(self, env: TrafficSignalEnv, rows: np.ndarray) -> np.ndarray:
+        """Fallback phases of ``env.agent_ids[i]`` for each ``i`` in
+        ``rows`` (ascending), as :meth:`action` would give them one by
+        one.  On a bulk detector suite max-pressure picks every node at
+        once; fault-injecting suites read per movement, node by node,
+        and fixed-time looks up each node's program."""
+        if self.policy == "max_pressure" and _bulk_suite(env.detectors):
+            return self._bulk_max_pressure(env)[rows]
+        agent_ids = env.agent_ids
+        return np.array([self.action(env, agent_ids[i]) for i in rows], dtype=np.int64)
 
     def _fixed_time_action(self, env: TrafficSignalEnv, node_id: str) -> int:
         assert env.sim is not None
@@ -63,33 +80,43 @@ class FallbackController:
             self._programs[node_id] = program
         return program.phase_at(env.sim.time)
 
+    def _bulk_max_pressure(self, env: TrafficSignalEnv) -> np.ndarray:
+        """Every node's max-pressure phase from this tick's bulk movement
+        pressures, memoized per bulk array and phase plans.
+
+        Each phase sums its green movements' pressures with explicit
+        left-to-right adds in ``Phase.green_order`` (pad slots add an
+        exact ``0.0``), the order of the per-movement scan, and
+        ``argmax`` takes the first maximum as its strict ``>`` does."""
+        mp = env.detectors._bulk_mp
+        plans = tuple(map(env.phase_plans.__getitem__, env.agent_ids))
+        if mp is self._mp_key[0] and plans == self._mp_key[1]:
+            return self._mp_picks
+        table, phase_pad = _phase_table(env.detectors, plans)
+        padded = self._mp_padded
+        if len(padded) != len(mp) + 1:
+            padded = self._mp_padded = np.zeros(len(mp) + 1)
+        padded[:-1] = mp
+        terms = padded[table]  # (L, M, P): slot-major
+        pressure = terms[0].copy()
+        for term in terms[1:]:
+            pressure += term
+        if phase_pad is not None:
+            pressure[phase_pad] = -np.inf
+        self._mp_key = (mp, plans)
+        self._mp_picks = pressure.argmax(axis=1)
+        return self._mp_picks
+
     def _max_pressure_action(self, env: TrafficSignalEnv, node_id: str) -> int:
+        """Per-movement reads: on a fault-injecting suite each may draw RNG."""
         detectors = env.detectors
-        assert detectors is not None
-        plan = env.phase_plans[node_id]
-        if (
-            detectors._cache_enabled
-            and detectors._bulk_enabled
-            and detectors._bulk_ready()
-        ):
-            # Bulk suites: this tick's movement pressures as one list,
-            # summed per phase in the green-movement order below.
-            mp = detectors._bulk_mp
-            if mp is not self._mp_array:
-                self._mp_array, self._mp_values = mp, mp.tolist()
-            values = self._mp_values
-            phase_pressures = [
-                sum(values[i] for i in movements)
-                for movements in _phase_movements(detectors, node_id, plan)
-            ]
-        else:  # fault-injecting suites: every read may draw RNG
-            phase_pressures = (
-                sum(
-                    detectors.movement_pressure(env.network.movements[key])
-                    for key in phase.green_order
-                )
-                for phase in plan.phases
+        phase_pressures = (
+            sum(
+                detectors.movement_pressure(env.network.movements[key])
+                for key in phase.green_order
             )
+            for phase in env.phase_plans[node_id].phases
+        )
         best_index = 0
         best_pressure = -np.inf
         for index, pressure in enumerate(phase_pressures):
@@ -98,22 +125,43 @@ class FallbackController:
         return best_index
 
 
-def _phase_movements(detectors, node_id: str, plan) -> tuple[tuple[int, ...], ...]:
-    """Per phase of ``plan``, the bulk movement rows of its green set, in
-    ``Phase.green_order``; memoized on the detectors' network per node
-    (checked against the plan object, which the memo keeps)."""
-    memo = detectors.sim.network.detector_memo.setdefault("fallback_phases", {})
-    entry = memo.get(node_id)
-    if entry is None or entry[0] is not plan:
+def _bulk_suite(detectors) -> bool:
+    """Whether this tick's movement pressures come as one bulk array."""
+    return (
+        detectors._cache_enabled
+        and detectors._bulk_enabled
+        and detectors._bulk_ready()
+    )
+
+
+def _phase_table(detectors, plans: tuple) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(L, M, P)`` bulk movement rows of each plan's phases' green
+    sets, slot ``l`` holding each phase's ``l``-th movement in
+    ``Phase.green_order`` and ``-1`` (a zero pressure) past its end, and
+    the ``(M, P)`` mask of pad phases (None when every plan has ``P``);
+    memoized on the detectors' network, checked against the plans."""
+    memo = detectors.sim.network.detector_memo
+    entry = memo.get("fallback_phase_table")
+    if entry is None or entry[0] != plans:
         mv_index = detectors._mv_index
-        entry = memo[node_id] = (
-            plan,
-            tuple(
-                tuple(mv_index[key] for key in phase.green_order)
-                for phase in plan.phases
-            ),
+        rows = [
+            [[mv_index[key] for key in phase.green_order] for phase in plan.phases]
+            for plan in plans
+        ]
+        num_phases = max(len(phases) for phases in rows)
+        width = max(len(green) for phases in rows for green in phases)
+        table = np.full((max(width, 1), len(rows), num_phases), -1, dtype=np.intp)
+        phase_pad = np.ones((len(rows), num_phases), dtype=bool)
+        for i, phases in enumerate(rows):
+            for p, green in enumerate(phases):
+                table[: len(green), i, p] = green
+                phase_pad[i, p] = False
+        entry = memo["fallback_phase_table"] = (
+            plans,
+            table,
+            phase_pad if phase_pad.any() else None,
         )
-    return entry[1]
+    return entry[1], entry[2]
 
 
 class ControllerFaultWrapper(AgentSystem):

@@ -19,6 +19,12 @@ from repro.errors import FaultInjectionError
 from repro.faults.config import FaultConfig
 
 
+#: Message fault kinds by :meth:`FaultSchedule.message_faults` code
+#: (0 is a clean delivery).
+MESSAGE_FAULTS = (None, "message_drop", "message_delay", "message_corrupt")
+MESSAGE_DROP, MESSAGE_DELAY, MESSAGE_CORRUPT = 1, 2, 3
+
+
 class FaultSchedule:
     """Samples fault events for one simulation run."""
 
@@ -33,6 +39,7 @@ class FaultSchedule:
         self._stuck: dict[str, bool] = {}
         self._frozen: dict[str, float] = {}
         self._dead: dict[str, bool] = {}
+        self._dead_mask: tuple[tuple, np.ndarray] | None = None
         #: Optional telemetry sink (:class:`repro.obs.telemetry.Telemetry`)
         #: receiving one activation per (fault kind, target) per episode.
         #: Never consulted by the sampling paths, so attaching it cannot
@@ -53,6 +60,7 @@ class FaultSchedule:
         self._stuck.clear()
         self._frozen.clear()
         self._dead.clear()
+        self._dead_mask = None
         self._activated.clear()
 
     # ------------------------------------------------------------------
@@ -134,6 +142,39 @@ class FaultSchedule:
         the codomain of the logistic-squashed messages)."""
         return self._rng.uniform(0.0, 1.0, size=np.shape(message))
 
+    def message_faults(self, count: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """Faults of ``count`` messages of width ``dim``, in order.
+
+        Returns ``(codes, payloads)``: an ``(count,)`` index into
+        :data:`MESSAGE_FAULTS` and the ``(k, dim)`` channel garbage of
+        the ``k`` corrupted messages.  The draws are those of ``count``
+        per-message sequences — :meth:`message_dropped`, then
+        :meth:`message_delayed`, then :meth:`message_corrupted` and its
+        :meth:`corrupt` payload, each only if the one before missed.
+        With one per-message flag (drop or delay alone) that is one
+        draw per message, taken with a single ``random(count)`` call.
+        """
+        config = self.config
+        drop, delay, corrupt = (
+            config.message_drop, config.message_delay, config.message_corrupt
+        )
+        codes = np.zeros(count, dtype=np.int8)
+        payloads: list[np.ndarray] = []
+        if corrupt or (drop and delay):
+            random, uniform = self._rng.random, self._rng.uniform
+            for i in range(count):
+                if drop and random() < drop:
+                    codes[i] = MESSAGE_DROP
+                elif delay and random() < delay:
+                    codes[i] = MESSAGE_DELAY
+                elif corrupt and random() < corrupt:
+                    codes[i] = MESSAGE_CORRUPT
+                    payloads.append(uniform(0.0, 1.0, size=dim))
+        elif drop or delay:
+            hits = self._rng.random(count) < (drop or delay)
+            codes[hits] = MESSAGE_DROP if drop else MESSAGE_DELAY
+        return codes, np.array(payloads) if payloads else np.empty((0, dim))
+
     # ------------------------------------------------------------------
     # Controller faults
     # ------------------------------------------------------------------
@@ -146,6 +187,16 @@ class FaultSchedule:
             dead = bool(self._episode_rng.random() < self.config.controller_failure)
             self._dead[agent_id] = dead
         return dead
+
+    def controller_dead_mask(self, agent_ids: list[str]) -> np.ndarray:
+        """``(M,)`` :meth:`controller_dead` of ``agent_ids``, queried in
+        that order on the first call of the episode and kept until the
+        next :meth:`begin_episode` (the deaths are per episode)."""
+        key = tuple(agent_ids)
+        if self._dead_mask is None or self._dead_mask[0] != key:
+            dead = np.array([self.controller_dead(a) for a in key], dtype=bool)
+            self._dead_mask = (key, dead)
+        return self._dead_mask[1]
 
     def dead_controllers(self) -> list[str]:
         """Agents already determined dead this episode (diagnostics)."""

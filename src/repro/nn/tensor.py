@@ -984,12 +984,21 @@ def lstm_trunk(
 
 
 def _sum_steps(per_step: np.ndarray) -> np.ndarray:
-    """Sum ``per_step`` over its leading axis in index order, the first
-    term copied, exactly as a tape accumulates one gradient per step."""
-    total = per_step[0].copy()
-    for term in per_step[1:]:
-        total += term
-    return total
+    """Sum ``per_step`` over its leading axis in index order, exactly as
+    a tape accumulates one gradient per step.
+
+    On a C-contiguous array whose rows hold more than one element, a
+    leading-axis reduce adds whole rows in index order; the copy also
+    fixes the order of a reversed (negative-stride) view.  One-element
+    rows would make it a contiguous 1-D reduce, which numpy sums
+    pairwise, so those keep the step-by-step adds.
+    """
+    if per_step[0].size == 1:
+        total = per_step[0].copy()
+        for term in per_step[1:]:
+            total += term
+        return total
+    return np.add.reduce(np.ascontiguousarray(per_step), axis=0)
 
 
 def lstm_sequence(*trunks: tuple, workspace: dict | None = None) -> tuple[Tensor, ...]:

@@ -19,7 +19,9 @@ dwell after ``reset_backoff_after`` consecutive healthy primary ticks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.serve.config import ServeConfig
 
@@ -27,6 +29,9 @@ from repro.serve.config import ServeConfig
 PRIMARY = "primary"
 BACKOFF = "backoff"
 PROBATION = "probation"
+#: Mode names by the integer code :class:`FallbackManager` stores.
+MODES = (PRIMARY, BACKOFF, PROBATION)
+_PRIMARY, _BACKOFF, _PROBATION = range(3)
 
 
 @dataclass
@@ -53,103 +58,126 @@ class NodeHealth:
         }
 
 
-@dataclass
-class FallbackDecision:
-    """Outcome of one per-intersection arbitration."""
-
-    use_fallback: bool
-    #: Mode transition this tick, if any: ``"demoted"`` or ``"promoted"``.
-    transition: str | None = None
-
-
 class FallbackManager:
-    """Arbitrates policy vs. fallback for every intersection, every tick."""
+    """Arbitrates policy vs. fallback for every intersection, every tick.
+
+    The state of intersection ``node_ids[i]`` is row ``i`` of int
+    arrays: ``mode_codes`` (an index into :data:`MODES`), ``backoff_ticks``,
+    ``resume_tick``, ``healthy_streak`` and the ``failures``,
+    ``fallback_ticks``, ``demotions`` and ``promotions`` counters.  One
+    :meth:`decide` call runs every intersection's transition for a tick
+    on those arrays; :meth:`state` reads one row back as a
+    :class:`NodeHealth`.
+    """
 
     def __init__(self, node_ids: list[str], config: ServeConfig) -> None:
         self.config = config
-        self._states: dict[str, NodeHealth] = {
-            node_id: NodeHealth(backoff_ticks=config.backoff_base_ticks)
-            for node_id in node_ids
-        }
+        self.node_ids = list(node_ids)
+        self._row = {node_id: i for i, node_id in enumerate(self.node_ids)}
+        num = len(self.node_ids)
+        self.mode_codes = np.full(num, _PRIMARY, dtype=np.int8)
+        self.backoff_ticks = np.full(num, config.backoff_base_ticks, dtype=np.int64)
+        self.resume_tick = np.zeros(num, dtype=np.int64)
+        self.healthy_streak = np.zeros(num, dtype=np.int64)
+        self.failures = np.zeros(num, dtype=np.int64)
+        self.fallback_ticks = np.zeros(num, dtype=np.int64)
+        self.demotions = np.zeros(num, dtype=np.int64)
+        self.promotions = np.zeros(num, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    def decide(self, node_id: str, tick: int, policy_healthy: bool) -> FallbackDecision:
-        """Arbitrate one intersection for one tick.
+    def decide(
+        self, tick: int, healthy: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arbitrate every intersection for one tick.
 
-        ``policy_healthy`` is this tick's verdict for this intersection:
-        False on a deadline miss, policy exception, invalid action, or
-        injected controller fault.
+        ``healthy`` is this tick's ``(M,)`` verdict mask, False where a
+        deadline miss, policy exception, invalid action or injected
+        controller fault hit the intersection.  Returns the ``(M,)``
+        masks ``(use_fallback, demoted, promoted)``.
+
+        A failure demotes a primary intersection, keeping an escalated
+        dwell from recent instability (anti-flap: it shrinks back to the
+        base dwell only after ``reset_backoff_after`` healthy primary
+        ticks).  A failure while probing, or past the dwell, escalates
+        the backoff; a failure inside the dwell keeps the existing probe
+        schedule, so a permanently broken policy is probed at
+        exponentially growing intervals instead of never (or every
+        tick).  A healthy intersection past its dwell is probed, and
+        promoted after ``promote_after`` healthy probes.
         """
         cfg = self.config
-        state = self._states[node_id]
-        if not policy_healthy:
-            transition = None
-            if state.mode == PRIMARY:
-                # Keep an escalated dwell from recent instability
-                # (anti-flap); it shrinks back to the base dwell only
-                # via ``reset_backoff_after`` sustained healthy ticks.
-                state.backoff_ticks = max(
-                    state.backoff_ticks, cfg.backoff_base_ticks
-                )
-                state.resume_tick = tick + state.backoff_ticks
-                transition = "demoted"
-                state.demotions += 1
-            elif state.mode == PROBATION or tick >= state.resume_tick:
-                # A probe failed: the policy is still broken — escalate.
-                state.backoff_ticks = min(
-                    max(
-                        int(state.backoff_ticks * cfg.backoff_factor),
-                        state.backoff_ticks + 1,
-                    ),
-                    cfg.backoff_max_ticks,
-                )
-                state.resume_tick = tick + state.backoff_ticks
-            # A failure inside the dwell keeps the existing probe
-            # schedule: the next probe happens when the dwell expires,
-            # so a permanently broken policy is probed at exponentially
-            # growing intervals instead of never (or every tick).
-            state.mode = BACKOFF
-            state.healthy_streak = 0
-            state.failures += 1
-            state.fallback_ticks += 1
-            return FallbackDecision(True, transition)
+        healthy = np.asarray(healthy, dtype=bool)
+        failed = ~healthy
+        mode, backoff, streak = self.mode_codes, self.backoff_ticks, self.healthy_streak
+        primary = mode == _PRIMARY
+        expired = self.resume_tick <= tick
+        dwelling = (mode == _BACKOFF) & ~expired
+        dwelling &= healthy
+        use_fallback = failed | dwelling
+        probing = ~(primary | use_fallback)
+        demoted = failed & primary
+        escalated = (mode == _PROBATION) | expired
+        escalated &= failed
+        escalated &= ~primary
 
-        if state.mode == PRIMARY:
-            state.healthy_streak += 1
-            if state.healthy_streak >= cfg.reset_backoff_after:
-                state.backoff_ticks = cfg.backoff_base_ticks
-            return FallbackDecision(False)
+        # Transitions are rare: count_nonzero is the cheapest emptiness test.
+        if np.count_nonzero(demoted):
+            np.maximum(backoff, cfg.backoff_base_ticks, out=backoff, where=demoted)
+            np.add(backoff, tick, out=self.resume_tick, where=demoted)
+        if np.count_nonzero(escalated):
+            # Capped before the cast, which leaves the capped result of
+            # the integer form min(max(int(b * f), b + 1), cap) intact.
+            product = np.minimum(backoff * cfg.backoff_factor, cfg.backoff_max_ticks)
+            grown = np.maximum(product.astype(np.int64), backoff + 1)
+            np.minimum(grown, cfg.backoff_max_ticks, out=backoff, where=escalated)
+            np.add(backoff, tick, out=self.resume_tick, where=escalated)
 
-        if state.mode == BACKOFF and tick < state.resume_tick:
-            state.fallback_ticks += 1
-            return FallbackDecision(True)
+        # Healthy primary and probing intersections extend their streak;
+        # a failure clears it; a dwelling intersection keeps it.
+        streak += ~use_fallback
+        streak *= healthy
+        reset = primary & healthy
+        reset &= streak >= cfg.reset_backoff_after
+        np.copyto(backoff, cfg.backoff_base_ticks, where=reset)
+        mode[failed] = _BACKOFF
+        promoted = probing & (streak >= cfg.promote_after)
+        if np.count_nonzero(probing):
+            mode[probing] = _PROBATION
+            mode[promoted] = _PRIMARY
+            self.promotions += promoted
 
-        # Dwell expired and the policy is healthy: probe it.
-        state.mode = PROBATION
-        state.healthy_streak += 1
-        if state.healthy_streak >= cfg.promote_after:
-            state.mode = PRIMARY
-            state.promotions += 1
-            return FallbackDecision(False, "promoted")
-        return FallbackDecision(False)
+        self.failures += failed
+        self.fallback_ticks += use_fallback
+        self.demotions += demoted
+        return use_fallback, demoted, promoted
 
     # ------------------------------------------------------------------
     def mode(self, node_id: str) -> str:
-        return self._states[node_id].mode
+        return MODES[self.mode_codes[self._row[node_id]]]
 
     def state(self, node_id: str) -> NodeHealth:
-        return self._states[node_id]
+        """A copy of one intersection's bookkeeping."""
+        i = self._row[node_id]
+        return NodeHealth(
+            mode=MODES[self.mode_codes[i]],
+            backoff_ticks=int(self.backoff_ticks[i]),
+            resume_tick=int(self.resume_tick[i]),
+            healthy_streak=int(self.healthy_streak[i]),
+            failures=int(self.failures[i]),
+            fallback_ticks=int(self.fallback_ticks[i]),
+            demotions=int(self.demotions[i]),
+            promotions=int(self.promotions[i]),
+        )
 
     def degraded_nodes(self) -> list[str]:
         """Intersections currently not in primary mode."""
-        return sorted(
-            node for node, state in self._states.items() if state.mode != PRIMARY
-        )
+        rows = np.flatnonzero(self.mode_codes != _PRIMARY)
+        return sorted(self.node_ids[i] for i in rows)
 
     def total_transitions(self) -> int:
         """Demotions + promotions across all intersections (flap metric)."""
-        return sum(s.demotions + s.promotions for s in self._states.values())
+        return int(self.demotions.sum() + self.promotions.sum())
 
     def snapshot(self) -> dict[str, dict]:
         """Per-intersection health, JSON-safe."""
-        return {node: state.as_dict() for node, state in self._states.items()}
+        return {node: self.state(node).as_dict() for node in self.node_ids}

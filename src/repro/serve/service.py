@@ -89,6 +89,9 @@ class ControlService:
         self.tick_index = 0
         self._pending_reload: str | None = None
         self.reload_log: list = []
+        self._num_phases = np.array(
+            [env.action_spaces[a].n for a in env.agent_ids], dtype=np.int64
+        )
         if telemetry is not None:
             env.attach_telemetry(telemetry)
 
@@ -147,7 +150,11 @@ class ControlService:
         """One guaranteed-coverage decision tick.
 
         Always returns a valid action for every intersection; never
-        raises for a policy-side failure.
+        raises for a policy-side failure.  Verdicts, injected controller
+        deaths and the fallback arbitration are ``(M,)`` masks over
+        ``env.agent_ids``, and fallback phases come from one
+        :meth:`FallbackController.actions` call; only telemetry events
+        go node by node (death activation, then demotion or promotion).
         """
         env = self.env
         tick = self.tick_index
@@ -182,29 +189,19 @@ class ControlService:
                 deadline_ms=self.config.deadline_ms,
             )
 
-        actions: dict[str, int] = {}
-        fallback_count = 0
         with TIMERS.section("serve/fallback"):
-            for node_id in env.agent_ids:
-                verdict = self._verdict(
-                    env, node_id, raw_actions, failure, deadline_missed
-                )
-                decision = self.fallbacks.decide(node_id, tick, verdict is None)
-                if self.telemetry is not None:
-                    if decision.transition == "demoted":
-                        self.telemetry.serve_fallback(
-                            node_id=node_id,
-                            tick=tick,
-                            reason=verdict or "unknown",
-                            backoff_ticks=self.fallbacks.state(node_id).backoff_ticks,
-                        )
-                    elif decision.transition == "promoted":
-                        self.telemetry.serve_promotion(node_id=node_id, tick=tick)
-                if decision.use_fallback:
-                    actions[node_id] = self.fallback_controller.action(env, node_id)
-                    fallback_count += 1
-                else:
-                    actions[node_id] = int(raw_actions[node_id])
+            served, healthy, dead = self._verdicts(
+                env, raw_actions, failure is not None or deadline_missed
+            )
+            use_fallback, demoted, promoted = self.fallbacks.decide(tick, healthy)
+            self._emit_transitions(
+                env, tick, dead, demoted, promoted, failure, deadline_missed
+            )
+            rows = use_fallback.nonzero()[0]
+            if len(rows):
+                served[rows] = self.fallback_controller.actions(env, rows)
+            actions = dict(zip(env.agent_ids, served.tolist()))
+        fallback_count = len(rows)
 
         self.health.observe_tick(
             latency_s=budget.elapsed(),
@@ -221,48 +218,104 @@ class ControlService:
         return actions
 
     # ------------------------------------------------------------------
-    def _verdict(
-        self,
-        env: TrafficSignalEnv,
-        node_id: str,
-        raw_actions: dict[str, int],
-        failure: str | None,
-        deadline_missed: bool,
-    ) -> str | None:
-        """This tick's failure verdict for one intersection (None = healthy)."""
-        verdict: str | None = None
-        if failure is not None:
-            verdict = "policy_exception"
-        elif deadline_missed:
-            verdict = "deadline_miss"
-        else:
-            action = raw_actions.get(node_id)
-            try:
-                valid = action is not None and env.action_spaces[node_id].contains(
-                    int(action)
-                )
-            except (TypeError, ValueError, OverflowError):
-                valid = False
-            if not valid:
-                verdict = "invalid_action"
-                self.health.invalid_actions += 1
-        if self._controller_dead(env, node_id):
-            verdict = "controller_fault"
-            self.health.controller_faults += 1
-        return verdict
+    def _verdicts(
+        self, env: TrafficSignalEnv, raw_actions: dict, policy_failed: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """This tick's ``(M,)`` policy actions, verdict mask (True =
+        healthy) and injected-death mask (None without controller
+        faults), in ``env.agent_ids`` order.
 
-    def _controller_dead(self, env: TrafficSignalEnv, node_id: str) -> bool:
-        """Injected controller death (reuses the env's fault schedule)."""
+        A policy exception or deadline miss fails every intersection.
+        Otherwise an action is valid when ``int(action)`` names one of
+        the intersection's phases; an injected controller death fails
+        its intersection whatever the policy did.
+        """
+        num = len(env.agent_ids)
+        if policy_failed:
+            served = np.zeros(num, dtype=np.int64)
+            healthy = np.zeros(num, dtype=bool)
+        else:
+            served, healthy = self._policy_actions(env, raw_actions)
+            self.health.invalid_actions += num - int(np.count_nonzero(healthy))
+        dead = self._dead_controllers(env)
+        if dead is not None:
+            healthy &= ~dead
+            self.health.controller_faults += int(np.count_nonzero(dead))
+        return served, healthy, dead
+
+    def _policy_actions(
+        self, env: TrafficSignalEnv, raw_actions: dict
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(M,)`` ``int(action)`` codes of the policy's actions and
+        their validity.  Integer actions are checked on arrays; any other
+        output (missing keys, floats, NaN, objects) goes through ``int()``
+        one action at a time, as the phase index it would be served as."""
+        values = list(map(raw_actions.get, env.agent_ids))
+        try:
+            codes = np.array(values)
+        except ValueError:  # ragged outputs
+            codes = None
+        if codes is None or codes.dtype.kind not in "iub" or codes.shape != (len(values),):
+            codes = np.array(
+                [_action_code(v, n) for v, n in zip(values, self._num_phases.tolist())],
+                dtype=np.int64,
+            )
+        codes = codes.astype(np.int64)
+        return codes, (codes >= 0) & (codes < self._num_phases)
+
+    def _dead_controllers(self, env: TrafficSignalEnv) -> np.ndarray | None:
+        """Injected controller deaths (reuses the env's fault schedule)."""
         schedule = env.fault_schedule
         if schedule is None or not schedule.config.any_controller_faults:
-            return False
-        if not schedule.controller_dead(node_id):
-            return False
-        tick = env.sim.time if env.sim is not None else None
-        schedule.emit_activation(
-            "controller_death", node_id, tick=tick, scope="episode"
-        )
-        return True
+            return None
+        return schedule.controller_dead_mask(env.agent_ids)
+
+    def _emit_transitions(
+        self,
+        env: TrafficSignalEnv,
+        tick: int,
+        dead: np.ndarray | None,
+        demoted: np.ndarray,
+        promoted: np.ndarray,
+        failure: str | None,
+        deadline_missed: bool,
+    ) -> None:
+        """Per intersection, in agent order: its controller-death
+        activation (deduplicated per episode by the schedule), then its
+        demotion or promotion event."""
+        schedule = env.fault_schedule
+        deaths = dead is not None and schedule.event_sink is not None
+        if self.telemetry is None and not deaths:
+            return
+        marked = demoted | promoted
+        if deaths:
+            marked = marked | dead
+        for i in np.flatnonzero(marked):
+            node_id = env.agent_ids[i]
+            if deaths and dead[i]:
+                schedule.emit_activation(
+                    "controller_death",
+                    node_id,
+                    tick=env.sim.time if env.sim is not None else None,
+                    scope="episode",
+                )
+            if self.telemetry is None:
+                continue
+            if demoted[i]:
+                if dead is not None and dead[i]:
+                    reason = "controller_fault"
+                elif failure is not None:
+                    reason = "policy_exception"
+                else:
+                    reason = "deadline_miss" if deadline_missed else "invalid_action"
+                self.telemetry.serve_fallback(
+                    node_id=node_id,
+                    tick=tick,
+                    reason=reason,
+                    backoff_ticks=int(self.fallbacks.backoff_ticks[i]),
+                )
+            elif promoted[i]:
+                self.telemetry.serve_promotion(node_id=node_id, tick=tick)
 
     def _on_stall(self, tick: int, threshold_s: float) -> None:
         """Watchdog timer callback (runs on the timer thread)."""
@@ -270,3 +323,14 @@ class ControlService:
             self.telemetry.serve_watchdog_stall(
                 tick=tick, threshold_ms=threshold_s * 1000.0
             )
+
+
+def _action_code(action, num_phases: int) -> int:
+    """``int(action)`` if that names one of ``num_phases`` phases, else -1."""
+    if action is None:
+        return -1
+    try:
+        code = int(action)
+    except (TypeError, ValueError, OverflowError):
+        return -1
+    return code if 0 <= code < num_phases else -1

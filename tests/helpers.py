@@ -294,3 +294,190 @@ def use_stepwise_eval(agent):
     """Make ``agent`` re-evaluate with :func:`evaluate_shared_stepwise`."""
     agent._evaluate_shared = types.MethodType(evaluate_shared_stepwise, agent)
     return agent
+
+
+# ----------------------------------------------------------------------
+# Per-agent / per-node oracles of the serving layer's array passes
+# ----------------------------------------------------------------------
+def reference_message_faults(schedule, agent_ids, messages, own, prev, last,
+                             staleness, degrade_on_loss, decay, max_staleness,
+                             sink_ticks=None):
+    """One receiver at a time: the channel's deliver, then the resilient
+    reader's receive (or zeros for a loss without it), on dict state.
+
+    ``prev``/``last``/``staleness`` are per-agent dicts, updated in
+    place; returns the ``(M, D)`` resolved messages.  The scalar
+    schedule draws run in receiver order — drop, then delay, then
+    corrupt and its payload — and activations go to the schedule's sink
+    with ``sink_ticks`` as their tick.
+    """
+    config = schedule.config
+    out = np.zeros_like(messages, dtype=np.float64)
+    for i, agent_id in enumerate(agent_ids):
+        message = np.asarray(messages[i], dtype=np.float64)
+        kind = None
+        if config.message_drop and schedule.message_dropped():
+            kind, delivered = "message_drop", None
+        elif config.message_delay and schedule.message_delayed():
+            kind, delivered = "message_delay", prev[agent_id].copy()
+        elif config.message_corrupt and schedule.message_corrupted():
+            kind, delivered = "message_corrupt", schedule.corrupt(message)
+        else:
+            delivered = message
+        if kind is not None and schedule.event_sink is not None:
+            schedule.emit_activation(kind, agent_id, tick=sink_ticks)
+        if delivered is not None:
+            prev[agent_id] = delivered.copy()
+        if not degrade_on_loss:
+            out[i] = 0.0 if delivered is None else delivered
+        elif delivered is not None:
+            last[agent_id] = delivered.copy()
+            staleness[agent_id] = 0
+            out[i] = last[agent_id]
+        else:
+            staleness[agent_id] += 1
+            if staleness[agent_id] > max_staleness:
+                out[i] = own[i]
+            else:
+                out[i] = last[agent_id] * (decay ** staleness[agent_id])
+    return out
+
+
+class ReferenceFallbackManager:
+    """The per-node fallback state machine: one ``decide`` per
+    intersection and tick, on :class:`NodeHealth` records."""
+
+    def __init__(self, node_ids, config) -> None:
+        from repro.serve.fallback import NodeHealth
+
+        self.config = config
+        self.states = {
+            node_id: NodeHealth(backoff_ticks=config.backoff_base_ticks)
+            for node_id in node_ids
+        }
+
+    def decide(self, node_id: str, tick: int, policy_healthy: bool):
+        """``(use_fallback, transition)`` of one intersection."""
+        from repro.serve.fallback import BACKOFF, PRIMARY, PROBATION
+
+        cfg = self.config
+        state = self.states[node_id]
+        if not policy_healthy:
+            transition = None
+            if state.mode == PRIMARY:
+                state.backoff_ticks = max(state.backoff_ticks, cfg.backoff_base_ticks)
+                state.resume_tick = tick + state.backoff_ticks
+                transition = "demoted"
+                state.demotions += 1
+            elif state.mode == PROBATION or tick >= state.resume_tick:
+                state.backoff_ticks = min(
+                    max(
+                        int(state.backoff_ticks * cfg.backoff_factor),
+                        state.backoff_ticks + 1,
+                    ),
+                    cfg.backoff_max_ticks,
+                )
+                state.resume_tick = tick + state.backoff_ticks
+            state.mode = BACKOFF
+            state.healthy_streak = 0
+            state.failures += 1
+            state.fallback_ticks += 1
+            return True, transition
+        if state.mode == PRIMARY:
+            state.healthy_streak += 1
+            if state.healthy_streak >= cfg.reset_backoff_after:
+                state.backoff_ticks = cfg.backoff_base_ticks
+            return False, None
+        if state.mode == BACKOFF and tick < state.resume_tick:
+            state.fallback_ticks += 1
+            return True, None
+        state.mode = PROBATION
+        state.healthy_streak += 1
+        if state.healthy_streak >= cfg.promote_after:
+            state.mode = PRIMARY
+            state.promotions += 1
+            return False, "promoted"
+        return False, None
+
+
+def reference_decide(service, observations) -> dict:
+    """``ControlService.decide`` one intersection at a time.
+
+    Per node, in agent order: the failure verdict (with the injected
+    controller death queried from the schedule right there), the
+    per-node arbitration of ``service.fallbacks`` (a
+    :class:`ReferenceFallbackManager`) and, on fallback, that node's
+    ``FallbackController.action``.  Telemetry events and health counters
+    follow the same order.
+    """
+    from repro.serve.deadline import DeadlineBudget
+
+    env = service.env
+    tick = service.tick_index
+    service.tick_index += 1
+    budget = DeadlineBudget(service.config.deadline_s, clock=service._clock)
+    failure = None
+    raw_actions = {}
+    try:
+        raw_actions = service.runtime.act(observations, env)
+    except Exception as error:
+        failure = f"{type(error).__name__}: {error}"
+    deadline_missed = budget.exceeded()
+    if failure is not None:
+        service.health.policy_exceptions += 1
+    schedule = env.fault_schedule
+    actions = {}
+    fallback_count = 0
+    for node_id in env.agent_ids:
+        verdict = None
+        if failure is not None:
+            verdict = "policy_exception"
+        elif deadline_missed:
+            verdict = "deadline_miss"
+        else:
+            action = raw_actions.get(node_id)
+            try:
+                valid = action is not None and env.action_spaces[node_id].contains(
+                    int(action)
+                )
+            except (TypeError, ValueError, OverflowError):
+                valid = False
+            if not valid:
+                verdict = "invalid_action"
+                service.health.invalid_actions += 1
+        if (
+            schedule is not None
+            and schedule.config.any_controller_faults
+            and schedule.controller_dead(node_id)
+        ):
+            schedule.emit_activation(
+                "controller_death", node_id, tick=env.sim.time, scope="episode"
+            )
+            verdict = "controller_fault"
+            service.health.controller_faults += 1
+        use_fallback, transition = service.fallbacks.decide(
+            node_id, tick, verdict is None
+        )
+        if service.telemetry is not None:
+            if transition == "demoted":
+                service.telemetry.serve_fallback(
+                    node_id=node_id,
+                    tick=tick,
+                    reason=verdict,
+                    backoff_ticks=service.fallbacks.states[node_id].backoff_ticks,
+                )
+            elif transition == "promoted":
+                service.telemetry.serve_promotion(node_id=node_id, tick=tick)
+        if use_fallback:
+            actions[node_id] = service.fallback_controller.action(env, node_id)
+            fallback_count += 1
+        else:
+            actions[node_id] = int(raw_actions[node_id])
+    service.health.observe_tick(
+        latency_s=budget.elapsed(),
+        served=len(actions),
+        expected=len(env.agent_ids),
+        fallback_count=fallback_count,
+        deadline_missed=deadline_missed,
+    )
+    return actions

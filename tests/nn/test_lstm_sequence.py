@@ -494,3 +494,23 @@ def test_weight_gradients_within_forward_error_of_unroll(
             # The biases stay bit-exact.
             for k in (1, 3):
                 assert np.array_equal(got[k].grad, want[k].grad)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 70),
+    groups=st.integers(1, 3),
+    width=st.integers(1, 40),
+    reverse=st.booleans(),
+)
+def test_sum_steps_adds_in_index_order(seed, steps, groups, width, reverse):
+    """One reduce over the step axis is the tape's step-by-step sum, also
+    for the reversed (negative-stride) views the kernel passes in."""
+    per_step = np.random.default_rng(seed).normal(size=(steps, groups, width))
+    if reverse:
+        per_step = per_step[::-1]
+    want = per_step[0].copy()
+    for term in per_step[1:]:
+        want += term
+    assert np.array_equal(tensor_mod._sum_steps(per_step), want)

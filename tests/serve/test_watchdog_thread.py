@@ -56,10 +56,6 @@ def _service(env, policy, **config):
     )
 
 
-def _watcher_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name == "serve-watchdog"]
-
-
 class TestStallReporting:
     def test_hung_evaluation_reported_while_it_hangs(self, tiny_grid):
         env = make_env(tiny_grid)
@@ -97,11 +93,15 @@ class TestThreadLifetime:
         service = _service(env, BlockingPolicy())
         observations = service.start_episode(seed=0)
         service.decide(observations)
-        before = threading.active_count()
+        watcher = service.watchdog._thread
+        # Compare thread identities, not counts: watchers of services
+        # that earlier tests dropped may exit at any point of the loop.
+        before = set(threading.enumerate())
         for _ in range(1000):
             service.decide(observations)
-        assert threading.active_count() == before
-        assert len(_watcher_threads()) >= 1
+        spawned = [t for t in threading.enumerate() if t not in before]
+        assert spawned == []
+        assert service.watchdog._thread is watcher and watcher.is_alive()
 
     def test_dropped_service_is_collected_and_thread_exits(self, tiny_grid):
         env = make_env(tiny_grid)
