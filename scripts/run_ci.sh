@@ -3,34 +3,31 @@
 #   1. the default test suite (pytest.ini excludes -m perf),
 #   2. the serve suite explicitly (fault-tolerant control service,
 #      including the fault-schedule soak smoke test),
-#   3. the sharded suite explicitly (city-scale construction smokes and
-#      the K=8 vs K=1 same-run scaling gate, excluded from tier-1 for
-#      runtime),
-#   4. the scenario fuzz stage: the seeded spec fuzzer widened to 50
+#   3. the scenario fuzz stage: the seeded spec fuzzer widened to 50
 #      distinct scenarios (tier-1 runs 8), every one driven through the
-#      object fast/slow and SoA engines with conservation/round-trip
+#      reference object engine and SoA with conservation/round-trip
 #      property checks and a fixed per-case time budget,
-#   5. the perf gate: three perfbench runs of every workload, each
+#   4. the perf gate: three perfbench runs of every workload, each
 #      end-to-end metric's median within its BENCHMARK.json bound of the
 #      committed benchmarks/perfbench_baseline.json (perfbench pins BLAS
 #      to one thread and host-scales its CPU clocks),
-#   6. the benchmark's own self-tests (perfbench/: metric coverage,
+#   5. the benchmark's own self-tests (perfbench/: metric coverage,
 #      correctness checks and tracing, at tiny sizes),
-#   7. the lockstep routing stage: one short traced 6x6 B=8 shared
+#   6. the lockstep routing stage: one short traced 6x6 B=8 shared
 #      rollout that must be correct (the traced run reproduces the
 #      untraced waits and counts) with zero per-env extraction
 #      fallback steps, so the array routing path stays engaged,
-#   8. the serve stage: one short traced 6x6 serving run under
+#   7. the serve stage: one short traced 6x6 serving run under
 #      controller deaths and message delay that must be correct with
 #      zero failed decisions and zero deadline misses, so the serial
 #      array path (B=1 extractor, array routing) stays healthy, and
 #      that must step the SoA engine and never the object engine, so
 #      serving stays on the production engine,
-#   9. the train stage: one short traced 6x6 B=8 shared training run
+#   8. the train stage: one short traced 6x6 B=8 shared training run
 #      that must be correct with zero failed operations and at least
 #      one PPO update, so the grouped LSTM trunk kernel stays on the
 #      traced update path,
-#  10. the coverage floors (stdlib trace; no coverage package):
+#   9. the coverage floors (stdlib trace; no coverage package):
 #      src/repro/obs and src/repro/scenarios.
 #
 # Usage, from the repository root:
@@ -44,9 +41,6 @@ python -m pytest
 
 echo "== serve suite (control service + soak smoke) =="
 python -m pytest -m serve
-
-echo "== sharded suite (city-scale smokes + same-run scaling gate) =="
-python -m pytest -m sharded
 
 echo "== scenario fuzz stage (50 fuzzed specs, fixed seed, per-case budget) =="
 REPRO_FUZZ_CASES=50 REPRO_FUZZ_SEED=20260808 REPRO_FUZZ_CASE_BUDGET_S=30 \

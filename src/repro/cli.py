@@ -24,11 +24,6 @@ Commands
     checkpoint, serve every intersection inside a per-tick deadline with
     per-intersection fallback and optional fault injection, hot-reload a
     checkpoint mid-run, and print the health report.
-``sharded``
-    Run one spatially sharded city-scale episode: partition the grid
-    into K contiguous shards, one persistent worker process per shard,
-    lockstep ticks with boundary vehicle handoffs, and report partition
-    stats, throughput and the vehicle-conservation check.
 ``zoo``
     Scenario-zoo tooling: list the seeded demand-scenario catalogue and
     print or export the spec JSON the ``--scenario`` flags consume
@@ -353,81 +348,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0 if service.health.healthy else 1
 
 
-def cmd_sharded(args: argparse.Namespace) -> int:
-    from repro.eval.sharded import run_sharded_episode
-    from repro.faults.config import FaultConfig
-
-    rows, cols = _grid_shape(args)
-    faults = None
-    if args.shard_link_loss > 0 or args.message_delay > 0:
-        faults = FaultConfig(
-            shard_link_loss=args.shard_link_loss,
-            message_delay=args.message_delay,
-        )
-    telemetry = None
-    if args.telemetry_dir:
-        from repro.obs import Telemetry
-
-        telemetry = Telemetry(
-            args.telemetry_dir,
-            config={
-                "rows": rows,
-                "cols": cols,
-                "shards": args.shards,
-                "ticks": args.ticks,
-                "controller": args.controller,
-                "workers": not args.serial,
-                "shard_link_loss": args.shard_link_loss,
-                "message_delay": args.message_delay,
-            },
-            seed=args.seed,
-            agent_name=f"sharded-{args.controller}",
-        )
-    try:
-        result = run_sharded_episode(
-            rows,
-            cols,
-            args.shards,
-            args.ticks,
-            pattern=args.pattern,
-            seed=args.seed,
-            controller=args.controller,
-            workers=not args.serial,
-            faults=faults,
-            telemetry=telemetry,
-        )
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-            print(f"telemetry written to {telemetry.run_dir}")
-    mode = "serial" if args.serial or args.shards == 1 else "workers"
-    print(
-        f"sharded run: {rows}x{cols} grid, {args.shards} shards ({mode}), "
-        f"{result.ticks} ticks"
-    )
-    print(
-        f"partition: sizes {result.shard_sizes}, edge cut {result.edge_cut} links"
-    )
-    print(
-        f"throughput: {result.ticks_per_second:.1f} ticks/s "
-        f"({result.elapsed_s:.2f} s wall)"
-    )
-    print(
-        f"vehicles: {result.created} created, {result.finished} finished, "
-        f"{result.in_network} in network, {result.pending} pending, "
-        f"{result.in_flight} in flight (conservation OK)"
-    )
-    print(
-        f"boundary: {result.handoffs} handoffs, {result.link_losses} handoff "
-        f"losses, {result.message_losses} message losses"
-    )
-    print(
-        f"avg travel time {result.avg_travel_time:.1f} s, "
-        f"avg wait {result.avg_wait:.1f} s"
-    )
-    return 0
-
-
 def cmd_obs(args: argparse.Namespace) -> int:
     from repro.obs.report import export_run_csv, render_report, tail_events
 
@@ -609,42 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--telemetry-dir", type=str, default="",
                          help="write serve telemetry (events.jsonl) here")
     p_serve.set_defaults(func=cmd_serve)
-
-    p_sharded = subparsers.add_parser(
-        "sharded", help="run one spatially sharded city-scale episode"
-    )
-    p_sharded.add_argument(
-        "--grid-size", type=str, default="10x10",
-        help="grid shape as 'WxH' (or 'N' for NxN)",
-    )
-    p_sharded.add_argument("--rows", type=int, default=10)
-    p_sharded.add_argument("--cols", type=int, default=10)
-    p_sharded.add_argument("--shards", type=int, default=4,
-                           help="number of spatial shards (1 = monolithic)")
-    p_sharded.add_argument("--ticks", type=int, default=300)
-    p_sharded.add_argument("--pattern", type=int, default=5, choices=range(1, 6))
-    p_sharded.add_argument(
-        "--controller", choices=("fixed_time", "max_pressure"),
-        default="fixed_time",
-    )
-    p_sharded.add_argument(
-        "--serial", action="store_true",
-        help="run all shards in-process (bit-exact with worker mode)",
-    )
-    p_sharded.add_argument("--seed", type=int, default=0)
-    p_sharded.add_argument(
-        "--shard-link-loss", type=float, default=0.0,
-        help="per-(edge, tick) probability of losing a boundary exchange "
-             "(handoff batches are held upstream and retried)",
-    )
-    p_sharded.add_argument(
-        "--message-delay", type=float, default=0.0,
-        help="per-(edge, tick) probability of dropping occupancy/messages "
-             "(receivers reuse stale values)",
-    )
-    p_sharded.add_argument("--telemetry-dir", type=str, default="",
-                           help="write shard telemetry (events.jsonl) here")
-    p_sharded.set_defaults(func=cmd_sharded)
 
     p_obs = subparsers.add_parser(
         "obs", help="telemetry run-directory tooling (report / tail)"

@@ -64,8 +64,7 @@ class EnvConfig:
     #: one-replica :class:`repro.sim.soa.SoAEngine` whose static tables
     #: come from a per-network memo.  ``"object"`` is the reference
     #: object-per-vehicle :class:`Simulation`, bit-exact with it and kept
-    #: as the test oracle (and as ``ShardEngine``'s base).  See DESIGN.md
-    #: "SoA engine".
+    #: as the test oracle.  See DESIGN.md "SoA engine".
     engine: str = "soa"
     #: Optional fault injection (see :mod:`repro.faults`); ``None`` = healthy.
     faults: FaultConfig | None = None
@@ -163,6 +162,10 @@ class TrafficSignalEnv:
         self.phase_plans = phase_plans
         self.flows = flows
         self.config = config or EnvConfig()
+        if self.config.incidents is not None:
+            for link in self.config.incidents.links:
+                if link not in network.links:
+                    raise ConfigError(f"incident on unknown link {link!r}")
         self._base_seed = seed
         self._episode_count = 0
         self.router = Router(network)

@@ -48,7 +48,6 @@ import numpy as np
 from repro.env.observation import FEATURES_PER_APPROACH
 from repro.env.tsc_env import StepResult, TrafficSignalEnv
 from repro.sim.detectors import DetectorSuite, bulk_readings
-from repro.sim.engine import Simulation
 from repro.sim.metrics import average_travel_time
 from repro.sim.network import VEHICLE_SPACE_M
 from repro.sim.soa import SoAEngine, SoAReplicaView
@@ -108,8 +107,8 @@ class BatchedStepExtractor:
         if isinstance(engine, SoAEngine):
             if engine.batch != len(envs):
                 return None
-        elif type(engine) is not Simulation or len(envs) != 1:
-            return None  # e.g. sharded engines
+        elif len(envs) != 1:
+            return None  # a ``Simulation`` advances exactly one env
         head = envs[0]
         slots0 = head.obs_builder._slots
         widths = {len(s) for s in slots0.values()}

@@ -14,14 +14,6 @@ can exercise, each with an independent occurrence probability:
   RL controller dies for the rest of the episode, after which
   :class:`repro.faults.controller.ControllerFaultWrapper` substitutes a
   classical fallback policy.
-* **Shard-boundary faults** (applied by the sharded-simulation
-  coordinator, :mod:`repro.sim.sharded`): per-tick probability that an
-  inter-shard boundary channel loses its exchange — handoff batches are
-  held upstream and retried (vehicles are never destroyed), and the
-  channel's occupancy/message payloads go stale at the receiver.  The
-  existing ``message_delay`` rate additionally drops only the
-  occupancy/message payloads, mirroring PairUpLight's staleness-decay
-  message reuse.
 
 All probabilities are per-event Bernoulli rates so a single scalar sweep
 (:meth:`FaultConfig.uniform`) produces the degradation curves reported by
@@ -35,7 +27,7 @@ from dataclasses import dataclass, replace
 from repro.errors import FaultInjectionError
 
 #: Fault families accepted by :meth:`FaultConfig.uniform`.
-FAULT_KINDS = ("detector", "message", "controller", "shard")
+FAULT_KINDS = ("detector", "message", "controller")
 
 
 @dataclass(frozen=True)
@@ -56,9 +48,6 @@ class FaultConfig:
     message_delay: float = 0.0
     #: Probability (per agent, per episode) the RL controller dies.
     controller_failure: float = 0.0
-    #: Probability (per directed shard pair, per tick) an inter-shard
-    #: boundary exchange is lost (handoffs held upstream, messages stale).
-    shard_link_loss: float = 0.0
 
     def __post_init__(self) -> None:
         for name in (
@@ -68,7 +57,6 @@ class FaultConfig:
             "message_corrupt",
             "message_delay",
             "controller_failure",
-            "shard_link_loss",
         ):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
@@ -98,16 +86,11 @@ class FaultConfig:
         return self.controller_failure > 0
 
     @property
-    def any_shard_faults(self) -> bool:
-        return self.shard_link_loss > 0
-
-    @property
     def active(self) -> bool:
         return (
             self.any_detector_faults
             or self.any_message_faults
             or self.any_controller_faults
-            or self.any_shard_faults
         )
 
     # ------------------------------------------------------------------
@@ -118,9 +101,8 @@ class FaultConfig:
         """One fault rate applied across the chosen fault families.
 
         ``"detector"`` sets the dropout rate, ``"message"`` the drop
-        rate, ``"controller"`` the per-episode failure rate and
-        ``"shard"`` the inter-shard link-loss rate — the sweep axes of
-        the robustness evaluations.
+        rate and ``"controller"`` the per-episode failure rate — the
+        sweep axes of the robustness evaluations.
         """
         unknown = set(kinds) - set(FAULT_KINDS)
         if unknown:
@@ -134,6 +116,4 @@ class FaultConfig:
             config = replace(config, message_drop=rate)
         if "controller" in kinds:
             config = replace(config, controller_failure=rate)
-        if "shard" in kinds:
-            config = replace(config, shard_link_loss=rate)
         return config

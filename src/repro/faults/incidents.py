@@ -18,13 +18,13 @@ The schedule itself is stateless: every tick the engine asks
 :meth:`IncidentSchedule.apply` for the desired factor per link and only
 changed links are written, so the same schedule object can be attached
 to any number of engines (object, SoA, batched replicas) and to
-repeated episodes without a reset.  Links absent from an engine's
-network are skipped — a sharded worker holds only its shard's
-subnetwork, so a city-wide schedule applies cleanly to every worker
-(the scenario compiler validates links against the full network at
-build time).  Both engines consult effective
-storage on every entry attempt, so trajectories under incidents stay
-bit-exact across the object fast/slow paths and the SoA engine.
+repeated episodes without a reset.  Every link must exist in the
+engine's network: the scenario compiler and ``TrafficSignalEnv`` check
+the schedule's links when they are built, and an engine rejects an
+unknown link when the schedule first writes it.  Both engines consult
+effective storage on every entry attempt, so trajectories under
+incidents stay bit-exact between the reference object engine and the
+SoA engine.
 """
 
 from __future__ import annotations
@@ -107,9 +107,8 @@ class IncidentSchedule:
     Attach with ``sim.incidents = schedule``; the engine calls
     :meth:`apply` at the start of every tick.  Overlapping incidents on
     one link compose by taking the *minimum* factor (the most severe
-    closure wins).  Links the engine's network does not contain are
-    skipped (shard subnetworks); validate link ids at build time, as the
-    scenario compiler does.
+    closure wins).  Validate link ids against the network at build
+    time, as the scenario compiler and ``TrafficSignalEnv`` do.
     """
 
     def __init__(self, incidents: list[Incident] | tuple[Incident, ...]) -> None:
@@ -158,9 +157,8 @@ class IncidentSchedule:
         the same tick (or across engines sharing the schedule) is safe.
         """
         current = sim.capacity_factors
-        known = sim.network.links
         for link, factor in self.factors_at(sim.time).items():
-            if link in known and current.get(link, 1.0) != factor:
+            if current.get(link, 1.0) != factor:
                 sim.set_capacity_factor(link, factor)
 
     def to_payload(self) -> list[dict]:

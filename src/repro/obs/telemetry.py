@@ -258,75 +258,6 @@ class Telemetry:
         self.events.flush()
 
     # ------------------------------------------------------------------
-    # Sharded-simulation events (repro.sim.sharded)
-    # ------------------------------------------------------------------
-    def shard_spawn(
-        self,
-        shard: int,
-        nodes: int,
-        links: int,
-        owned_links: int,
-        cut_out: int,
-        cut_in: int,
-        pid: int | None,
-    ) -> None:
-        """One shard runtime came up (worker process or in-process).
-
-        Flushed immediately: shard lifecycle is a durability point — if
-        the run dies mid-episode the log still shows the topology.
-        """
-        self.events.emit(
-            "shard_spawn",
-            shard=int(shard),
-            nodes=int(nodes),
-            links=int(links),
-            owned_links=int(owned_links),
-            cut_out=int(cut_out),
-            cut_in=int(cut_in),
-            pid=None if pid is None else int(pid),
-        )
-        self.metrics.count("sharded.shards")
-        self.events.flush()
-
-    def shard_handoff(self, tick: int, total: int, edges: dict) -> None:
-        """Aggregated boundary handoff volume since the last report.
-
-        ``edges`` maps ``"src->dst"`` edge labels to vehicle counts; the
-        coordinator flushes a window every ``handoff_report_every``
-        ticks and once at run end, so event volume stays bounded no
-        matter how busy the cuts are.
-        """
-        self.events.emit(
-            "shard_handoff",
-            tick=int(tick),
-            total=int(total),
-            edges={str(k): int(v) for k, v in edges.items()},
-        )
-        self.metrics.count("sharded.handoffs", total)
-
-    def shard_link_loss(
-        self, tick: int, src: int, dst: int, kind: str, held: int
-    ) -> None:
-        """One inter-shard boundary channel lost this tick's exchange.
-
-        ``kind`` is ``"handoff"`` (the vehicle batch is held upstream
-        and retried — ``held`` is its size) or ``"message"`` (occupancy
-        and neighbour messages were dropped; receivers reuse stale
-        values).
-        """
-        if kind not in ("handoff", "message"):
-            raise ConfigError(f"unknown shard link-loss kind {kind!r}")
-        self.events.emit(
-            "shard_link_loss",
-            tick=int(tick),
-            src=int(src),
-            dst=int(dst),
-            kind=str(kind),
-            held=int(held),
-        )
-        self.metrics.count(f"sharded.link_loss.{kind}")
-
-    # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -1,11 +1,9 @@
-"""Performance subsystem: timers and parallel workers.
+"""Performance subsystem: timers and a parallel map.
 
 * :mod:`repro.perf.timers` — lightweight phase timers around the
   sim-tick / forward / update phases of a training run,
 * :mod:`repro.perf.parallel` — fork-based ``parallel_map`` used by
-  multi-seed evaluation (``run_multiseed(..., workers=N)``),
-* :mod:`repro.perf.workers` — persistent forked workers for the
-  sharded simulation.
+  multi-seed evaluation (``run_multiseed(..., workers=N)``).
 
 The benchmark is ``perfbench/`` (workloads declared in
 ``BENCHMARK.json``); ``scripts/check_perf_regression.py`` gates it

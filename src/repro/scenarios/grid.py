@@ -186,7 +186,7 @@ def build_grid(rows: int = 6, cols: int = 6, **kwargs) -> GridScenario:
 
     Construction is O(N) in the number of intersections (every loop is
     per-node/per-link/per-movement with bounded degree), so city-scale
-    grids — the 50x50, 2500-intersection sharding workload — build in
+    grids — a 50x50 grid has 2,500 intersections — build in
     seconds, not minutes.
     """
     return GridScenario(GridSpec(rows=rows, cols=cols, **kwargs))

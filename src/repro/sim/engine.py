@@ -13,13 +13,12 @@ The model captures the phenomena the paper's evaluation depends on:
   exceed network capacity without losing vehicles),
 * yellow intervals during which nothing discharges.
 
-Two step implementations coexist.  The default *fast path* precomputes
-lane/movement indexes at construction (stable lane→index maps, a numpy
-discharge-credit array, per-movement candidate-lane tables, per-phase
-approach-green sets) and exploits the engine's ordering invariants to
-skip work; ``fast_path=False`` selects the original straight-line
-reference implementation.  Both produce bit-identical trajectories —
-``tests/sim/test_engine_equivalence.py`` pins this.
+This is the straight-line *reference* implementation of the DESIGN.md
+section 6 semantics: every lookup is resolved from the network dicts
+each tick.  Production runs use the batched :class:`repro.sim.soa.SoAEngine`,
+which is bit-identical with it; this engine is the oracle the SoA
+lockstep tests, the engine fuzzer and the zoo's engine agreement check
+compare against, and the ``EnvConfig(engine="object")`` switch.
 """
 
 from __future__ import annotations
@@ -69,10 +68,6 @@ class Simulation:
         Seconds of all-red-ish yellow inserted before each phase switch.
     saturation_rate:
         Discharge rate per lane, vehicles/second.
-    fast_path:
-        Use the index-precomputed step implementation (default).  The
-        reference implementation (``False``) computes every lookup from
-        the network dicts each tick; trajectories are bit-identical.
     """
 
     def __init__(
@@ -86,7 +81,6 @@ class Simulation:
         permissive_left: bool = True,
         permissive_gap_m: float = DEFAULT_PERMISSIVE_GAP_M,
         teleport_time: int | None = None,
-        fast_path: bool = True,
     ) -> None:
         if not network.validated:
             network.validate()
@@ -139,8 +133,8 @@ class Simulation:
         self.finished_vehicles: list[Vehicle] = []
         self._total_created = 0
         #: Free-flow traversal ticks per link, resolved once (used by
-        #: ``_enter_link`` on both paths; the value is a pure function of
-        #: immutable link geometry).
+        #: ``_enter_link``; the value is a pure function of immutable
+        #: link geometry).
         self._freeflow: dict[str, int] = {
             link_id: link.freeflow_ticks for link_id, link in network.links.items()
         }
@@ -161,126 +155,6 @@ class Simulation:
         #: Optional :class:`repro.faults.incidents.IncidentSchedule`
         #: applied at the start of every tick (lane/link closures).
         self.incidents = None
-        self.fast_path = bool(fast_path)
-        if self.fast_path:
-            self._build_fast_structures()
-
-    # ------------------------------------------------------------------
-    # Fast-path index construction
-    # ------------------------------------------------------------------
-    def _build_fast_structures(self) -> None:
-        network = self.network
-        #: Per-phase approach-green sets per signalized node: phase index
-        #: → set of in-links with a green THROUGH/RIGHT movement.
-        self._approach_green: dict[str, list[frozenset[str]]] = {}
-        for node_id, plan in self.phase_plans.items():
-            per_phase = []
-            for phase in plan.phases:
-                greens = set()
-                for green_in, green_out in phase.green_movements:
-                    movement = network.movements.get((green_in, green_out))
-                    if movement is not None and movement.turn in (
-                        TurnType.THROUGH,
-                        TurnType.RIGHT,
-                    ):
-                        greens.add(green_in)
-                per_phase.append(frozenset(greens))
-            self._approach_green[node_id] = per_phase
-
-        #: Lane records in the exact reference discharge order, plus a
-        #: stable lane_id → array-index map.  Tuples, not objects: the
-        #: discharge loop unpacks them in the ``for`` header, which beats
-        #: per-field attribute access on the hottest path.
-        self._lane_records: list[
-            tuple[int, deque, str, SignalState | None, list[frozenset[str]] | None]
-        ] = []
-        self._lane_index: dict[str, int] = {}
-        for link in network.links.values():
-            signal = self.signals.get(link.to_node)
-            greens = self._approach_green.get(link.to_node) if signal else None
-            for lane in link.lanes:
-                index = len(self._lane_records)
-                lane_id = lane.lane_id
-                self._lane_records.append(
-                    (index, self.lane_queues[lane_id], link.link_id, signal, greens)
-                )
-                self._lane_index[lane_id] = index
-        #: Discharge credit as a flat array (fast path's replacement for
-        #: the ``_discharge_credit`` dict — see :meth:`discharge_credit`).
-        self._credit = np.zeros(len(self._lane_records), dtype=np.float64)
-        #: Statically-blocked-head memo (parallel lists indexed like the
-        #: credit array): a head vehicle denied for reasons that depend
-        #: only on (head, phase, yellow) — red light, yellow, or a left
-        #: turn whose approach has no green — stays denied while the same
-        #: head faces the same signal state (its route position is frozen
-        #: while queued), so the permission logic can be skipped
-        #: wholesale.  Dynamic denials (opposing traffic, spillback) are
-        #: never memoized.
-        lane_count = len(self._lane_records)
-        self._red_head = [-1] * lane_count
-        self._red_phase = [-1] * lane_count
-        self._red_yellow = [False] * lane_count
-        #: Array indices of all incoming lanes per signalized node, for
-        #: the startup-lost-time fancy-index write.
-        self._node_lane_indices: dict[str, np.ndarray] = {
-            node_id: np.asarray(
-                [
-                    self._lane_index[lane.lane_id]
-                    for link_id in network.nodes[node_id].incoming
-                    for lane in network.links[link_id].lanes
-                ],
-                dtype=np.intp,
-            )
-            for node_id in self.signals
-        }
-
-        #: Candidate lanes per movement (and per link for exiting
-        #: vehicles): (in_link, out_link|None) → (lane_capacity,
-        #: [(lane_id, queue), ...]).  Replaces ``_choose_lane``'s
-        #: per-call ``lanes_for_movement`` recomputation.
-        self._move_candidates: dict[tuple[str, str | None], tuple[int, list]] = {}
-        for (in_link, out_link), movement in network.movements.items():
-            link = network.links[in_link]
-            lanes = [
-                (lane.lane_id, self.lane_queues[lane.lane_id])
-                for lane in network.lanes_for_movement(movement)
-            ]
-            self._move_candidates[(in_link, out_link)] = (link.lane_capacity, lanes)
-        for link_id, link in network.links.items():
-            lanes = [
-                (lane.lane_id, self.lane_queues[lane.lane_id]) for lane in link.lanes
-            ]
-            self._move_candidates[(link_id, None)] = (link.lane_capacity, lanes)
-
-        self._move_turn: dict[tuple[str, str], TurnType] = {
-            key: movement.turn for key, movement in network.movements.items()
-        }
-        #: Opposing-approach lookup for the permissive-left gap check:
-        #: in_link → None | (opposing_link_id, [queues], length, speed).
-        self._opposing_data: dict[str, tuple | None] = {}
-        for in_link, opposing in self._opposing_link.items():
-            if opposing is None:
-                self._opposing_data[in_link] = None
-            else:
-                link = network.links[opposing]
-                self._opposing_data[in_link] = (
-                    opposing,
-                    [self.lane_queues[lane.lane_id] for lane in link.lanes],
-                    link.length,
-                    link.speed_limit,
-                )
-        #: Blocked-retry memo: lane choice is a pure function of the
-        #: link's queue lengths, so a vehicle that failed to find a lane
-        #: need not retry until one of its link's queues changed.  Every
-        #: queue mutation bumps the link's version counter.
-        self._queue_version: dict[str, int] = {link_id: 0 for link_id in network.links}
-        self._blocked_at_version: dict[int, int] = {}
-        #: Per-link advance fast-out: ``link_id → (version, count)``
-        #: recording that the link's first ``count`` running vehicles are
-        #: all blocked as of queue-version ``version``.  While the
-        #: version is unchanged and no further vehicle has arrived, the
-        #: whole link can be skipped.
-        self._advance_skip: dict[str, tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # Agent-facing control surface
@@ -340,47 +214,24 @@ class Simulation:
         if self.incidents is not None:
             self.incidents.apply(self)
         self._update_signals()
-        if self.fast_path:
-            self._discharge_queues_fast()
-        else:
-            self._discharge_queues()
+        self._discharge_queues()
         if self.teleport_time is not None:
             self._teleport_stuck()
-        if self.fast_path:
-            self._advance_running_fast()
-        else:
-            self._advance_running()
+        self._advance_running()
         self._insert_pending()
         self._generate_demand()
         # Queued vehicles' waits accrue lazily from the clock (see
         # Vehicle.wait_total); no per-vehicle sweep is needed here.
         self.time += 1
 
-    def _dequeue_head(self, queue: deque, link_id: str) -> Vehicle:
-        """Shared dequeue bookkeeping for a vehicle leaving a lane queue.
-
-        Pops the head, releases its storage slot, and (fast path)
-        invalidates the memos keyed on this link's queue state.  Lazy
-        wait materialization is *not* done here: both exits from a queue
-        (``_finish_vehicle`` and ``_enter_link``) materialize the wait
-        themselves, so the counters stay exact on every path.  The
-        discharge loops inline these same operations on their hot path —
-        any change here must be mirrored there; the teleporting lockstep
-        test in ``tests/sim/test_engine_equivalence.py`` pins the pair.
-        """
-        head = queue.popleft()
-        self.link_occupancy[link_id] -= 1
-        if self.fast_path:
-            self._queue_version[link_id] += 1
-        return head
-
     def _teleport_stuck(self) -> None:
         """Force queue heads stuck beyond ``teleport_time`` onto their
         next link (or out of the network), ignoring signal and storage.
 
         At most one vehicle teleports per lane per tick (each lane's
-        head is examined exactly once), and the dequeue uses the same
-        bookkeeping as the discharge paths via :meth:`_dequeue_head`.
+        head is examined exactly once).  The dequeue does what the
+        discharge loop does; the wait is materialized by
+        ``_finish_vehicle`` or ``_enter_link``.
         """
         for lane_id, queue in self.lane_queues.items():
             if not queue:
@@ -388,7 +239,8 @@ class Simulation:
             head = queue[0]
             if head.wait_current_link <= self.teleport_time:
                 continue
-            self._dequeue_head(queue, head.current_link)
+            queue.popleft()
+            self.link_occupancy[head.current_link] -= 1
             self.teleport_count += 1
             if head.next_link is None:
                 self._finish_vehicle(head)
@@ -406,9 +258,6 @@ class Simulation:
         """Penalise discharge credit of all approaches after a phase switch."""
         penalty = self.startup_lost_time * self.saturation_rate
         if penalty <= 0:
-            return
-        if self.fast_path:
-            self._credit[self._node_lane_indices[node_id]] = -penalty
             return
         for link_id in self.network.nodes[node_id].incoming:
             for lane in self.network.links[link_id].lanes:
@@ -446,22 +295,6 @@ class Simulation:
         for vehicle in self.running[opposing]:
             travelled = link.speed_limit * (self.time - vehicle.run_start)
             if link.length - travelled <= self.permissive_gap_m:
-                return False
-        return True
-
-    def _opposing_clear_fast(self, in_link: str) -> bool:
-        data = self._opposing_data.get(in_link)
-        if data is None:
-            return True
-        opposing, queues, length, speed = data
-        for queue in queues:
-            if queue:
-                return False
-        gap = self.permissive_gap_m
-        time = self.time
-        for vehicle in self.running[opposing]:
-            travelled = speed * (time - vehicle.run_start)
-            if length - travelled <= gap:
                 return False
         return True
 
@@ -526,98 +359,6 @@ class Simulation:
                     self._enter_link(head, next_link_id)
                     credit -= 1.0
                 self._discharge_credit[lane_id] = credit if queue else 0.0
-
-    def _discharge_queues_fast(self) -> None:
-        """Index-precomputed twin of :meth:`_discharge_queues`.
-
-        Same iteration order, same credit arithmetic, same permission
-        logic — but all per-tick dict/property lookups are resolved
-        through the structures built in :meth:`_build_fast_structures`,
-        and ``_movement_permitted`` is inlined.
-        """
-        credit_arr = self._credit
-        # Work on a plain-float list and bulk-write back: per-element
-        # numpy scalar indexing costs more than the whole conversion.
-        credits = credit_arr.tolist()
-        rate = self.saturation_rate
-        occupancy = self.link_occupancy
-        storage = self._link_storage
-        versions = self._queue_version
-        permissive = self.permissive_left
-        move_turn = self._move_turn
-        left = TurnType.LEFT
-        red_head = self._red_head
-        red_phase = self._red_phase
-        red_yellow = self._red_yellow
-        for index, queue, link_id, signal, greens in self._lane_records:
-            if not queue:
-                if credits[index]:
-                    credits[index] = 0.0
-                continue
-            if (
-                signal is not None
-                and red_head[index] == queue[0].vehicle_id
-                and red_phase[index] == signal.current_phase_index
-                and red_yellow[index] == (signal.yellow_remaining > 0)
-            ):
-                # Same statically-blocked head under the same signal
-                # state: only the credit accrues this tick.
-                credit = credits[index] + rate
-                credits[index] = credit if credit < 1.0 else 1.0
-                continue
-            credit = credits[index] + rate
-            if credit > 1.0:
-                credit = 1.0
-            while credit >= 1.0:
-                head = queue[0]
-                route = head.route
-                next_index = head.route_index + 1
-                next_link_id = route[next_index] if next_index < len(route) else None
-                static_block = False
-                if next_link_id is None or signal is None:
-                    permitted = True
-                elif signal.yellow_remaining > 0:
-                    permitted = False
-                    static_block = True
-                else:
-                    key = (link_id, next_link_id)
-                    phase_index = signal.current_phase_index
-                    if key in signal.plan.phases[phase_index].green_movements:
-                        permitted = True
-                    elif (
-                        not permissive
-                        or move_turn.get(key) is not left
-                        or link_id not in greens[phase_index]
-                    ):
-                        permitted = False
-                        static_block = True
-                    else:
-                        permitted = self._opposing_clear_fast(link_id)
-                if not permitted:
-                    if static_block:
-                        red_head[index] = head.vehicle_id
-                        red_phase[index] = signal.current_phase_index
-                        red_yellow[index] = signal.yellow_remaining > 0
-                    break  # head-of-line blocking
-                if next_link_id is None:
-                    # Exit the network from the queue.
-                    queue.popleft()
-                    occupancy[link_id] -= 1
-                    versions[link_id] += 1
-                    self._finish_vehicle(head)
-                    credit -= 1.0
-                elif occupancy[next_link_id] >= storage[next_link_id]:
-                    break  # spillback: downstream full
-                else:
-                    queue.popleft()
-                    occupancy[link_id] -= 1
-                    versions[link_id] += 1
-                    self._enter_link(head, next_link_id)
-                    credit -= 1.0
-                if not queue:
-                    break
-            credits[index] = credit if queue else 0.0
-        credit_arr[:] = credits
 
     def _enter_link(self, vehicle: Vehicle, link_id: str) -> None:
         vehicle.route_index += 1
@@ -686,90 +427,6 @@ class Simulation:
                 self.lane_queues[lane.lane_id].append(vehicle)
             self.running[link_id] = still_running
 
-    def _advance_running_fast(self) -> None:
-        """Ordering-aware twin of :meth:`_advance_running`.
-
-        Exploits two invariants the reference loop does not:
-
-        * ``running`` lists are sorted by non-decreasing ``run_arrival``
-          (appends use ``time + freeflow_ticks`` with constant per-link
-          free-flow time, and blocked vehicles — which have already
-          arrived — are re-queued ahead of in-flight ones), so only the
-          arrived *prefix* needs processing;
-        * lane choice is a pure function of the link's queue lengths, so
-          a blocked vehicle need not retry ``_choose_lane`` until the
-          link's queue-version counter changes.
-        """
-        time = self.time
-        occupancy = self.link_occupancy
-        versions = self._queue_version
-        blocked_at = self._blocked_at_version
-        candidates_map = self._move_candidates
-        advance_skip = self._advance_skip
-        for link_id, running in self.running.items():
-            if not running or running[0].run_arrival > time:
-                continue
-            skip = advance_skip.get(link_id)
-            if skip is not None and skip[0] == versions[link_id]:
-                count = skip[1]
-                if len(running) == count or running[count].run_arrival > time:
-                    continue  # same blocked prefix, nothing new arrived
-            held: list[Vehicle] = []
-            boundary = len(running)
-            uniform = True
-            for position, vehicle in enumerate(running):
-                if vehicle.run_arrival > time:
-                    boundary = position
-                    break
-                route = vehicle.route
-                route_index = vehicle.route_index
-                if route_index == len(route) - 1:
-                    # Reached the end of its final link: leave the network.
-                    occupancy[link_id] -= 1
-                    self._finish_vehicle(vehicle)
-                    continue
-                vehicle_id = vehicle.vehicle_id
-                version = versions[link_id]
-                if blocked_at.get(vehicle_id) == version:
-                    held.append(vehicle)  # queues unchanged since last try
-                    continue
-                entry = candidates_map.get((link_id, route[route_index + 1]))
-                if entry is None:
-                    raise SimulationError(
-                        f"vehicle {vehicle_id} needs undeclared movement "
-                        f"({link_id!r}, {route[route_index + 1]!r})"
-                    )
-                capacity, lanes = entry
-                best_lane_id = None
-                best_queue = None
-                best_len = 0
-                for lane_id, lane_queue in lanes:
-                    queue_len = len(lane_queue)
-                    if queue_len >= capacity:
-                        continue
-                    if best_queue is None or queue_len < best_len:
-                        best_lane_id, best_queue, best_len = lane_id, lane_queue, queue_len
-                if best_queue is None:
-                    # All candidate lanes full: remain (blocked) on the link.
-                    blocked_at[vehicle_id] = version
-                    held.append(vehicle)
-                    continue
-                blocked_at.pop(vehicle_id, None)
-                vehicle.state = VehicleState.QUEUED
-                vehicle.lane_id = best_lane_id
-                vehicle.wait_anchor = time
-                vehicle.wait_clock = self
-                best_queue.append(vehicle)
-                versions[link_id] = version + 1
-                if held:
-                    # Earlier holds were recorded at a now-stale version.
-                    uniform = False
-            self.running[link_id] = held + running[boundary:]
-            if uniform and held:
-                advance_skip[link_id] = (versions[link_id], len(held))
-            elif skip is not None:
-                del advance_skip[link_id]
-
     def _insert_pending(self) -> None:
         for link_id, pending in self.insertion_queues.items():
             if not pending:
@@ -830,14 +487,9 @@ class Simulation:
     def discharge_credit(self, lane_id: str) -> float:
         """Current discharge credit of a lane (diagnostics/tests).
 
-        Unknown lane ids raise :class:`~repro.errors.SimulationError`
-        with the same message on both ``fast_path`` settings (the fast
-        path resolves through ``_lane_index``, the slow path through
-        ``_discharge_credit``; both key sets equal the network's lanes).
+        Unknown lane ids raise :class:`~repro.errors.SimulationError`.
         """
         try:
-            if self.fast_path:
-                return float(self._credit[self._lane_index[lane_id]])
             return self._discharge_credit[lane_id]
         except KeyError:
             raise SimulationError(f"unknown lane id {lane_id!r}") from None

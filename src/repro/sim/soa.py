@@ -944,7 +944,7 @@ class SoAEngine:
         code = self._code_flat.take(idx, out=self._buf_code)
         cand = np.not_equal(code, 0, out=self._buf_cand)
         cand &= np.greater_equal(credit, 1.0, out=self._buf_ge)
-        active = np.flatnonzero(cand)
+        active = cand.nonzero()[0]
         if active.size:
             self._discharge_events(active.tolist(), code[active].tolist())
         # Lanes whose queue ended the phase empty reset their credit,
@@ -1077,7 +1077,7 @@ class SoAEngine:
 
     def _teleport_stuck(self) -> None:
         t = self.time
-        stuck = np.flatnonzero((t - self._head_anchor) > self.teleport_time)
+        stuck = ((t - self._head_anchor) > self.teleport_time).nonzero()[0]
         if not stuck.size:
             return
         NL, LK = self.NL, self.LK
@@ -1130,7 +1130,7 @@ class SoAEngine:
             self._dirty_links = []
         else:
             dset = ()
-        active = np.flatnonzero(mask)
+        active = mask.nonzero()[0]
         if not active.size:
             return
         LK = self.LK

@@ -7,9 +7,12 @@ import pytest
 
 from repro.env.reward import intersection_reward
 from repro.env.tsc_env import EnvConfig, TrafficSignalEnv
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
+from repro.faults.incidents import Incident, IncidentSchedule
 from repro.scenarios.flows import flow_pattern
 from repro.scenarios.monaco import build_monaco
+from repro.sim.engine import Simulation
+from repro.sim.soa import SoAEngine
 
 from helpers import make_env
 
@@ -27,6 +30,27 @@ class TestEnvConfig:
     def test_bad_horizon_rejected(self):
         with pytest.raises(ConfigError):
             EnvConfig(horizon_ticks=100, max_ticks=50)
+
+
+class TestIncidentLinks:
+    """An incident schedule may only name links of the env's network."""
+
+    @pytest.mark.parametrize("engine", ["object", "soa"])
+    def test_unknown_link_rejected_at_build(self, tiny_grid, engine):
+        schedule = IncidentSchedule([Incident.link_closure("no_such_link", 0, 60)])
+        with pytest.raises(ConfigError, match="no_such_link"):
+            make_env(tiny_grid, engine=engine, incidents=schedule)
+
+    @pytest.mark.parametrize("engine", ["object", "soa"])
+    def test_unknown_link_rejected_by_engine(self, tiny_grid, engine):
+        network, plans = tiny_grid.network, tiny_grid.phase_plans
+        if engine == "soa":
+            sim = SoAEngine(network, [None], plans).view(0)
+        else:
+            sim = Simulation(network, None, plans)
+        sim.incidents = IncidentSchedule([Incident.link_closure("no_such_link", 0, 60)])
+        with pytest.raises(SimulationError, match="no_such_link"):
+            sim.step()
 
 
 class TestStepping:

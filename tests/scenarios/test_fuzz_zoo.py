@@ -3,9 +3,9 @@
 Complements :mod:`tests.sim.test_engine_fuzz` (which fuzzes grid scale /
 phase churn): here the fuzzer samples whole scenario *specs* — network
 shape, demand mixes over every profile kind, and mid-episode incidents —
-compiles each, and drives the object engine (both ``fast_path``
-settings) and a single-replica SoA engine through the identical
-scenario under a fixed-time signal schedule.  Checked periodically:
+compiles each, and drives the reference object engine and a
+single-replica SoA engine through the identical scenario under a
+fixed-time signal schedule.  Checked periodically:
 
 * spec round-trip: the compiled scenario canonicalises idempotently,
 * vehicle conservation: ``created == in_network + pending + finished``,
@@ -13,7 +13,7 @@ scenario under a fixed-time signal schedule.  Checked periodically:
   an occupied link reduces effective storage below the current load;
   the surplus drains out — by design it never exceeds the physical
   storage, which is what we assert),
-* full public-API agreement across all three engines, incidents
+* full public-API agreement between the two engines, incidents
   included (closures apply and clear on the same tick everywhere).
 
 Environment knobs (the CI fuzz stage widens them; defaults keep tier-1
@@ -49,9 +49,9 @@ SPECS = fuzz_specs(seed=FUZZ_SEED, count=FUZZ_CASES)
 
 
 def _engines(scenario):
-    """Object fast, object slow, and SoA view over the same scenario."""
+    """Reference object engine and SoA view over the same scenario."""
     engines = []
-    for which in ("fast", "slow", "soa"):
+    for which in ("object", "soa"):
         # Each engine consumes its own demand generator (stateful) but
         # shares the stateless IncidentSchedule.
         demand = scenario.demand_generator(seed=17, stochastic=False)
@@ -60,12 +60,7 @@ def _engines(scenario):
                 scenario.network, [demand], scenario.phase_plans
             ).view(0)
         else:
-            engine = Simulation(
-                scenario.network,
-                demand,
-                scenario.phase_plans,
-                fast_path=which == "fast",
-            )
+            engine = Simulation(scenario.network, demand, scenario.phase_plans)
         if scenario.incidents:
             engine.incidents = scenario.incidents
         engines.append(engine)
@@ -104,11 +99,11 @@ def test_fuzzed_scenario_invariants_across_engines(spec):
             for sim in engines:
                 check_engine_invariants(sim, teleport=None)
             snapshots = [public_engine_snapshot(sim) for sim in engines]
-            assert snapshots[0] == snapshots[1] == snapshots[2], (
+            assert snapshots[0] == snapshots[1], (
                 f"{spec['name']} diverged at tick {t}"
             )
             factors = [dict(sim.capacity_factors) for sim in engines]
-            assert factors[0] == factors[1] == factors[2]
+            assert factors[0] == factors[1]
 
     # Demand ran: deterministic emission must have created vehicles for
     # any sampled spec (all profiles carry positive mass by construction).

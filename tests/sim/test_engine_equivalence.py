@@ -1,11 +1,10 @@
-"""Bit-exact equivalence of the fast engine path vs the scalar reference.
+"""Engine surface checks shared by the object reference and SoA engines.
 
-The vectorized/fast structures in ``Simulation`` (lane-indexed credit
-array, red-phase discharge memos, blocked-prefix skip records) must be
-pure accelerations: every queue, every vehicle timing field, every
-credit value must match the reference dict-loop implementation tick for
-tick.  These tests drive both engines through identical randomized phase
-churn over a congested grid and compare full state snapshots.
+Fast-vs-reference state equivalence on a congested grid under one shared
+phase churn, accessor error parity across engines, the fixed-time phase
+table, and the detector suite's per-tick cache.  Multi-replica,
+arterial and monaco lockstep of the SoA engine with the reference
+``Simulation`` lives in ``tests/sim/test_soa_lockstep.py``.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ import pytest
 
 from repro.eval.harness import ExperimentScale, GridExperiment
 from repro.sim.engine import Simulation
+from repro.sim.soa import SoAEngine
 
 SCALE = ExperimentScale(
     rows=3,
@@ -29,37 +29,39 @@ SCALE = ExperimentScale(
 )
 
 
-def _make_sim(fast: bool, **sim_kwargs) -> Simulation:
-    # Two independent environments with the same seeds produce two
-    # independent-but-identical demand generators, one per engine.
+def _make_sim(**sim_kwargs) -> Simulation:
+    # Each call builds its own environment, so every engine gets an
+    # independent-but-identical demand generator.
     experiment = GridExperiment(SCALE, seed=7)
     env = experiment.train_env(1)
     env.reset(seed=123)
-    return Simulation(
-        env.network,
-        env.sim.demand,
-        env.phase_plans,
-        fast_path=fast,
-        **sim_kwargs,
-    )
+    return Simulation(env.network, env.sim.demand, env.phase_plans, **sim_kwargs)
 
 
-def _snapshot(sim: Simulation) -> dict:
+def _make_soa(**sim_kwargs) -> SoAEngine:
+    experiment = GridExperiment(SCALE, seed=7)
+    env = experiment.train_env(1)
+    env.reset(seed=123)
+    return SoAEngine(env.network, [env.sim.demand], env.phase_plans, **sim_kwargs)
+
+
+def _snapshot(sim) -> dict:
+    """Full-state snapshot; works on Simulation and SoAReplicaView."""
     return {
         "time": sim.time,
         "queues": {
             lane_id: [
                 (v.vehicle_id, v.wait_total, v.wait_current_link, v.route_index)
-                for v in queue
+                for v in sim.lane_queues[lane_id]
             ]
-            for lane_id, queue in sim.lane_queues.items()
+            for lane_id in sim.lane_queues
         },
         "running": {
             link_id: [
                 (v.vehicle_id, v.run_start, v.run_arrival, v.route_index)
-                for v in vehicles
+                for v in sim.running[link_id]
             ]
-            for link_id, vehicles in sim.running.items()
+            for link_id in sim.running
         },
         "occupancy": dict(sim.link_occupancy),
         "credits": {
@@ -71,37 +73,46 @@ def _snapshot(sim: Simulation) -> dict:
         "teleports": sim.teleport_count,
         "signals": {
             node_id: (
-                signal.current_phase_index,
-                signal.pending_phase_index,
-                signal.yellow_remaining,
+                sim.signals[node_id].current_phase_index,
+                sim.signals[node_id].pending_phase_index,
+                sim.signals[node_id].yellow_remaining,
             )
-            for node_id, signal in sim.signals.items()
+            for node_id in sim.signals
         },
     }
 
 
 def _run_paired(
     ticks: int, snapshot_every: int = 50, **sim_kwargs
-) -> tuple[Simulation, Simulation]:
-    fast = _make_sim(True, **sim_kwargs)
-    reference = _make_sim(False, **sim_kwargs)
+) -> tuple[SoAEngine, Simulation]:
+    """Drive the SoA engine and the reference through one phase churn."""
+    fast = _make_soa(**sim_kwargs)
+    view = fast.view(0)
+    reference = _make_sim(**sim_kwargs)
     churn_fast = np.random.default_rng(42)
     churn_ref = np.random.default_rng(42)
 
     for t in range(ticks):
         if t % 5 == 0:
-            for node_id, signal in fast.signals.items():
-                signal.request_phase(int(churn_fast.integers(signal.plan.num_phases)))
-            for node_id, signal in reference.signals.items():
-                signal.request_phase(int(churn_ref.integers(signal.plan.num_phases)))
+            for node_id, plan in reference.phase_plans.items():
+                fast.request_phase(
+                    0, node_id, int(churn_fast.integers(plan.num_phases))
+                )
+                reference.signals[node_id].request_phase(
+                    int(churn_ref.integers(plan.num_phases))
+                )
         fast.step()
         reference.step()
         if t % snapshot_every == 0 or t == ticks - 1:
-            assert _snapshot(fast) == _snapshot(reference), f"divergence at tick {t}"
+            assert _snapshot(view) == _snapshot(reference), f"divergence at tick {t}"
     return fast, reference
 
 
 class TestFastPathEquivalence:
+    """The SoA engine (the fast engine every production path runs) is a
+    pure acceleration of the reference ``Simulation``: every queue,
+    vehicle timing field, credit and signal state matches tick for tick."""
+
     def test_default_config(self):
         """teleport off, permissive lefts on (the paper-faithful setup)."""
         _run_paired(400)
@@ -111,55 +122,55 @@ class TestFastPathEquivalence:
 
     def test_teleports_actually_fire_in_lockstep(self):
         """Aggressive watchdog on a congested grid: teleports must occur,
-        and the fast path's memo/credit bookkeeping must survive heads
-        vanishing mid-queue (the ``_dequeue_head`` sharing contract)."""
+        and the engines must stay bit-exact through heads vanishing
+        mid-queue."""
         fast, reference = _run_paired(400, snapshot_every=25, teleport_time=25)
-        assert fast.teleport_count > 0
-        assert fast.teleport_count == reference.teleport_count
+        assert reference.teleport_count > 0
+        assert fast.view(0).teleport_count == reference.teleport_count
 
     def test_protected_lefts_only(self):
         _run_paired(400, permissive_left=False)
 
     def test_fixed_time_program_equivalence(self):
-        """run_fixed_time (hoisted phase table) matches stepwise requests."""
+        """Both engines' ``run_fixed_time`` (the SoA one hoists a phase
+        table) match stepwise requests on the reference engine."""
         from repro.sim.signal import FixedTimeProgram
 
-        fast = _make_sim(True)
-        reference = _make_sim(False)
+        fast = _make_soa()
+        driven = _make_sim()
+        reference = _make_sim()
         programs = {
             node_id: FixedTimeProgram(
                 [(i, 13) for i in range(plan.num_phases)]
             )
-            for node_id, plan in fast.phase_plans.items()
+            for node_id, plan in reference.phase_plans.items()
         }
         fast.run_fixed_time(programs, 300)
+        driven.run_fixed_time(programs, 300)
         for t in range(300):
             for node_id, program in programs.items():
                 reference.signals[node_id].request_phase(program.phase_at(t))
             reference.step()
-        assert _snapshot(fast) == _snapshot(reference)
+        assert _snapshot(fast.view(0)) == _snapshot(reference)
+        assert _snapshot(driven) == _snapshot(reference)
 
 
 class TestAccessorErrorParity:
     """Unknown ids raise the same SimulationError on every engine.
 
-    The fast path resolves lanes through ``_lane_index`` and the slow
-    path through ``_discharge_credit``; the SoA view resolves through
-    ``_lane_of``/``_link_of``.  All three must agree on message shape so
-    callers can handle a typo'd detector id uniformly.
+    The object engine resolves lanes through its per-lane dicts and the
+    SoA view through ``_lane_of``/``_link_of``.  Both must agree on
+    message shape so callers can handle a typo'd detector id uniformly.
     """
 
     LANE_ACCESSORS = ("discharge_credit", "queue_length", "head_wait")
     LINK_ACCESSORS = ("halting_count", "link_head_wait")
 
     def _engines(self):
-        from repro.sim.soa import SoAEngine
-
         experiment = GridExperiment(SCALE, seed=7)
         env = experiment.train_env(1)
         env.reset(seed=123)
-        yield "fast", _make_sim(True)
-        yield "slow", _make_sim(False)
+        yield "object", _make_sim()
         yield "soa", SoAEngine(
             env.network, [env.sim.demand], env.phase_plans
         ).view(0)
@@ -223,7 +234,7 @@ class TestDetectorCacheEquivalence:
     def test_cached_readings_match_uncached(self):
         from repro.sim.detectors import DetectorSuite
 
-        sim = _make_sim(True)
+        sim = _make_sim()
         cached = DetectorSuite(sim)
         uncached = DetectorSuite(sim)
         uncached._cache_enabled = False
@@ -253,7 +264,7 @@ class TestDetectorCacheEquivalence:
     def test_cache_invalidates_on_tick(self):
         from repro.sim.detectors import DetectorSuite
 
-        sim = _make_sim(True)
+        sim = _make_sim()
         suite = DetectorSuite(sim)
         for _ in range(30):
             sim.step()
@@ -270,7 +281,7 @@ class TestDetectorCacheEquivalence:
         methods, so only the exact base class may use it."""
         from repro.sim.detectors import DetectorSuite
 
-        sim = _make_sim(True)
+        sim = _make_sim()
         assert DetectorSuite(sim)._bulk_enabled is True
 
         class Overriding(DetectorSuite):
@@ -284,7 +295,7 @@ class TestDetectorCacheEquivalence:
         from repro.faults.detectors import FaultyDetectorSuite
         from repro.faults.schedule import FaultSchedule
 
-        sim = _make_sim(True)
+        sim = _make_sim()
         config = FaultConfig(detector_dropout=0.5)
         schedule = FaultSchedule(config, seed=3)
         schedule.begin_episode(3)

@@ -112,7 +112,7 @@ def _run_locked(
         network, plans, demand_ref = make_demand(seed)
         _, _, demand_soa = make_demand(seed)
         references.append(
-            Simulation(network, demand_ref, plans, fast_path=True, **sim_kwargs)
+            Simulation(network, demand_ref, plans, **sim_kwargs)
         )
         demands.append(demand_soa)
     engine = SoAEngine(network, demands, plans, **sim_kwargs)
@@ -188,7 +188,7 @@ class TestFixedTimeDriver:
 
         network, plans, demand_ref = _grid_demand(123)
         _, _, demand_soa = _grid_demand(123)
-        reference = Simulation(network, demand_ref, plans, fast_path=True)
+        reference = Simulation(network, demand_ref, plans)
         engine = SoAEngine(network, [demand_soa], plans)
         programs = {
             node_id: FixedTimeProgram([(i, 13) for i in range(plan.num_phases)])

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _grid_shape, build_parser, main
 
 FAST = [
     "--rows", "2", "--cols", "2", "--peak-rate", "400",
@@ -169,48 +169,25 @@ class TestObsCommands:
         assert payload["traceEvents"]
 
 
-class TestShardedCommand:
-    SMALL = ["sharded", "--grid-size", "2x2", "--shards", "2",
-             "--ticks", "80", "--serial"]
-
-    def test_defaults(self):
-        args = build_parser().parse_args(["sharded"])
-        assert args.grid_size == "10x10"
-        assert args.shards == 4
-        assert args.controller == "fixed_time"
-
-    def test_small_run(self, capsys):
-        assert main(self.SMALL) == 0
-        out = capsys.readouterr().out
-        assert "2x2 grid, 2 shards (serial)" in out
-        assert "conservation OK" in out
-        assert "edge cut" in out
-
-    def test_grid_size_overrides_rows_cols(self, capsys):
-        assert main([*self.SMALL[:1], "--rows", "9", "--cols", "9",
-                     "--grid-size", "3x2", "--shards", "2",
-                     "--ticks", "60", "--serial"]) == 0
+class TestGridSize:
+    def test_grid_size_overrides_rows_cols(self):
+        args = build_parser().parse_args(
+            ["serve", "--rows", "9", "--cols", "9", "--grid-size", "3x2"]
+        )
         # "3x2" is width 3, height 2 -> a 2x3 grid, not 9x9
-        assert "2x3 grid" in capsys.readouterr().out
+        assert _grid_shape(args) == (2, 3)
 
     def test_bad_grid_size_exits_2(self, capsys):
-        assert main(["sharded", "--grid-size", "banana"]) == 2
+        assert main(["serve", "--grid-size", "banana"]) == 2
         assert "grid size" in capsys.readouterr().err
 
-    def test_too_many_shards_exits_2(self, capsys):
-        assert main(["sharded", "--grid-size", "2x2", "--shards", "99",
-                     "--ticks", "10", "--serial"]) == 2
-
-    def test_faulted_run_reports_losses(self, capsys):
-        assert main([*self.SMALL, "--message-delay", "0.5"]) == 0
-        out = capsys.readouterr().out
-        assert "message losses" in out
-
-    def test_telemetry_dir_written(self, tmp_path, capsys):
-        run_dir = tmp_path / "shard-run"
-        assert main([*self.SMALL, "--telemetry-dir", str(run_dir)]) == 0
-        assert "telemetry written" in capsys.readouterr().out
-        assert (run_dir / "events.jsonl").exists()
+    def test_serve_grid_size_on_max_pressure(self, capsys):
+        """The city-scale quickstart's command, on a small grid."""
+        assert main(["serve", "--grid-size", "4x3", "--model", "MaxPressure",
+                     "--pattern", "5", "--ticks", "10"]) == 0
+        assert "120 intersection-decisions served (0 unserved)" in (
+            capsys.readouterr().out
+        )
 
 
 class TestZooCommand:
