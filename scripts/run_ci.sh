@@ -27,7 +27,10 @@
 #      that must be correct with zero failed operations and at least
 #      one PPO update, so the grouped LSTM trunk kernel stays on the
 #      traced update path,
-#   9. the coverage floors (stdlib trace; no coverage package):
+#   9. the crash-safety stage: a 2x2 training run that checkpoints every
+#      episode is killed with SIGKILL after its first checkpoint, and
+#      resuming it must print the uninterrupted run's wait summary,
+#  10. the coverage floors (stdlib trace; no coverage package):
 #      src/repro/obs and src/repro/scenarios.
 #
 # Usage, from the repository root:
@@ -90,6 +93,20 @@ print("correct=%s failed=%s ppo_updates=%s" % (result["correct"], result["failed
 if not result["correct"] or result["failed"] != 0 or updates <= 0:
     sys.exit("train stage failed")
 '
+
+echo "== crash-safety stage (kill -9 a checkpointing 2x2 run, resume it) =="
+run=$(mktemp -d)
+train=(python -u -m repro train --model PairUpLight --rows 2 --cols 2 --peak-rate 300
+       --t-peak 60 --horizon 150 --episodes 30)
+"${train[@]}" | grep '^wait:' > "$run/uninterrupted"
+"${train[@]}" --checkpoint-dir "$run/ckpt" > /dev/null &
+pid=$!
+until [ -f "$run/ckpt/checkpoint.npz" ] || ! kill -0 "$pid" 2> /dev/null; do sleep 0.05; done
+kill -9 "$pid" 2> /dev/null || true
+status=0; wait "$pid" || status=$?
+[ "$status" -eq 137 ] || { echo "crash-safety stage failed: exit $status, not killed"; exit 1; }
+"${train[@]}" --resume-from "$run/ckpt" | grep '^wait:' > "$run/resumed"
+diff "$run/uninterrupted" "$run/resumed" && cat "$run/resumed" && rm -rf "$run"
 
 echo "== telemetry coverage floor (src/repro/obs) =="
 python scripts/check_obs_coverage.py

@@ -2,9 +2,10 @@
 
 An *agent system* controls every signalized intersection in the
 environment at once (one logical policy per intersection, possibly with
-shared parameters or inter-agent communication).  The training runner
-(:mod:`repro.rl.runner`) drives any implementation of this interface,
-which keeps Fixedtime, SingleAgentRL, MA2C, CoLight and PairUpLight
+shared parameters or inter-agent communication).  The episode loops
+(:mod:`repro.eval.batched`, behind :mod:`repro.rl.runner`) drive any
+implementation of this interface through an :class:`AgentGroup`, which
+keeps Fixedtime, SingleAgentRL, MA2C, CoLight and PairUpLight
 interchangeable in experiments.
 """
 
@@ -110,7 +111,8 @@ class AgentSystem:
             ) from error
 
     # ------------------------------------------------------------------
-    # Training-state capture (crash-safe resume; see rl.runner.train)
+    # Training-state capture (crash-safe resume; see
+    # repro.eval.batched.train_lockstep)
     # ------------------------------------------------------------------
     def training_state(self) -> dict[str, np.ndarray]:
         """Arrays beyond the weights needed to resume training exactly
@@ -124,3 +126,45 @@ class AgentSystem:
                 f"{self.name} cannot restore training state "
                 f"(unexpected keys {sorted(state)[:4]}...)"
             )
+
+
+class AgentGroup:
+    """B agent systems over B envs, one policy pass per agent: the policy
+    interface of the episode loops in :mod:`repro.eval.batched`.
+
+    :class:`repro.agents.pairuplight.batched.BatchedPolicyGroup` extends
+    it with batched passes.  ``None`` marks a finished env (no action,
+    no result).
+    """
+
+    #: Whether one learner (the *master*) trains on every env's episode.
+    shared = False
+
+    def __init__(self, agents: list, envs: list[TrafficSignalEnv]) -> None:
+        self.agents = agents
+        self.envs = envs
+
+    def begin_episode_all(self, training: bool) -> None:
+        for agent, env in zip(self.agents, self.envs):
+            agent.begin_episode(env, training)
+
+    def act_all(
+        self, observations: list, training: bool, live: list[bool]
+    ) -> list[dict[str, int] | None]:
+        return [
+            agent.act(obs, env, training) if alive else None
+            for agent, env, obs, alive in zip(
+                self.agents, self.envs, observations, live
+            )
+        ]
+
+    def observe_all(self, results: list[StepResult | None]) -> None:
+        for agent, env, result in zip(self.agents, self.envs, results):
+            if result is not None:
+                agent.observe(result, env)
+
+    def end_episode_all(self, training: bool) -> list[dict]:
+        return [
+            agent.end_episode(env, training=training)
+            for agent, env in zip(self.agents, self.envs)
+        ]

@@ -1,8 +1,9 @@
 """Cross-replica batched policy driver for lockstep training.
 
 ``train_lockstep`` batches B replicas' *simulation* into one SoA engine,
-but by default still runs B separate policy passes per tick.  This
-module drives all replicas' PairUpLight systems together:
+but by default still runs B separate policy passes per tick
+(:class:`repro.agents.base.AgentGroup`).  This module drives all
+replicas' PairUpLight systems together:
 
 * **independent mode** (default) — every seed keeps its own parameters
   and RNG streams, exactly as the serial runner trains them.  The group
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.agents.base import AgentGroup
 from repro.agents.pairuplight.agent import PairUpLightSystem, _pad, softmax_rows
 from repro.agents.pairuplight.messaging import (  # noqa: F401 (select_partner:
     # re-exported as the per-agent reference the array path is pinned to)
@@ -44,7 +46,7 @@ from repro.rl.buffer import RolloutBuffer
 from repro.rl.gae import compute_gae
 
 
-class BatchedPolicyGroup:
+class BatchedPolicyGroup(AgentGroup):
     """Drives B PairUpLight systems over a :class:`LockstepEnvGroup`."""
 
     def __init__(
@@ -67,9 +69,8 @@ class BatchedPolicyGroup:
                 raise ConfigError(
                     "batched policy agents must share the agent-id layout"
                 )
-        self.agents = agents
+        super().__init__(agents, env_group.envs)
         self.group = env_group
-        self.envs = env_group.envs
         self.B = len(agents)
         self.agent_ids = list(head.agent_ids)
         self.M = len(self.agent_ids)
@@ -199,9 +200,7 @@ class BatchedPolicyGroup:
     # ------------------------------------------------------------------
     def begin_episode_all(self, training: bool) -> None:
         if not self.shared:
-            for agent, env in zip(self.agents, self.envs):
-                agent.begin_episode(env, training)
-            return
+            return super().begin_episode_all(training)
         master = self.master
         self._buffer.clear()
         self._pending = None
@@ -389,10 +388,7 @@ class BatchedPolicyGroup:
         self, results: list[StepResult | None]
     ) -> None:
         if not self.shared:
-            for agent, env, result in zip(self.agents, self.envs, results):
-                if result is not None:
-                    agent.observe(result, env)
-            return
+            return super().observe_all(results)
         if self._pending is None:
             return
         rewards = np.asarray(
@@ -412,10 +408,7 @@ class BatchedPolicyGroup:
 
     def end_episode_all(self, training: bool) -> list[dict]:
         if not self.shared:
-            return [
-                agent.end_episode(env, training=training)
-                for agent, env in zip(self.agents, self.envs)
-            ]
+            return super().end_episode_all(training)
         master = self.master
         if not training or len(self._buffer) == 0:
             return [{} for _ in range(self.B)]

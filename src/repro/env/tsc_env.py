@@ -246,28 +246,27 @@ class TrafficSignalEnv:
         demand = self._fresh_demand(seed)
         if self.config.engine == "soa":
             engine = SoAEngine(
-                self.network,
-                [demand],
-                self.phase_plans,
-                yellow_time=self.config.yellow_time,
-                saturation_rate=self.config.saturation_rate,
-                startup_lost_time=self.config.startup_lost_time,
+                self.network, [demand], self.phase_plans, **self._engine_options()
             )
             sim = engine.view(0)
         else:
             sim = engine = Simulation(
-                self.network,
-                demand,
-                self.phase_plans,
-                yellow_time=self.config.yellow_time,
-                saturation_rate=self.config.saturation_rate,
-                startup_lost_time=self.config.startup_lost_time,
+                self.network, demand, self.phase_plans, **self._engine_options()
             )
         self._adopt_sim(sim, seed)
         from repro.eval.batched_obs import BatchedStepExtractor
 
         self._extractor = BatchedStepExtractor.maybe_build([self], engine)
         return self._observe_all()
+
+    def _engine_options(self) -> dict:
+        """The engine settings this env's config fixes."""
+        cfg = self.config
+        return {
+            "yellow_time": cfg.yellow_time,
+            "saturation_rate": cfg.saturation_rate,
+            "startup_lost_time": cfg.startup_lost_time,
+        }
 
     def _fresh_demand(self, seed: int) -> DemandGenerator:
         """A fresh seeded generator over copies of this env's flows."""

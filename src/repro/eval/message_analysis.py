@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.agents.base import AgentSystem
 from repro.agents.pairuplight.agent import PairUpLightSystem
 from repro.env.tsc_env import TrafficSignalEnv
 from repro.errors import ConfigError
+from repro.rl.runner import evaluate
 
 
 @dataclass
@@ -32,6 +34,29 @@ class MessageLog:
         return len(self.messages)
 
 
+class _MessageProbe(AgentSystem):
+    """Acts as ``agent`` and records each step's outgoing messages."""
+
+    def __init__(self, agent: PairUpLightSystem, log: MessageLog) -> None:
+        self.agent = agent
+        self.log = log
+        self.name = agent.name
+
+    def begin_episode(self, env: TrafficSignalEnv, training: bool) -> None:
+        self.agent.begin_episode(env, training)
+
+    def act(self, observations, env: TrafficSignalEnv, training: bool) -> dict:
+        actions = self.agent.act(observations, env, training)
+        # After act(), the board holds this step's outgoing messages.
+        for agent_id in self.agent.agent_ids:
+            message = self.agent.board.read(agent_id)
+            self.log.messages.append(float(message[0]))
+            self.log.congestion.append(env.congestion_score(agent_id))
+            self.log.pressure.append(float(np.abs(env.link_pressures(agent_id)).sum()))
+            self.log.actions.append(int(actions[agent_id]))
+        return actions
+
+
 def probe_messages(
     agent: PairUpLightSystem,
     env: TrafficSignalEnv,
@@ -42,24 +67,7 @@ def probe_messages(
     if episodes <= 0:
         raise ConfigError("episodes must be positive")
     log = MessageLog()
-    for episode in range(episodes):
-        observations = env.reset(seed=seed + episode)
-        agent.begin_episode(env, training=False)
-        done = False
-        while not done:
-            actions = agent.act(observations, env, training=False)
-            # After act(), the board holds this step's outgoing messages.
-            for agent_id in agent.agent_ids:
-                message = agent.board.read(agent_id)
-                log.messages.append(float(message[0]))
-                log.congestion.append(env.congestion_score(agent_id))
-                log.pressure.append(
-                    float(np.abs(env.link_pressures(agent_id)).sum())
-                )
-                log.actions.append(int(actions[agent_id]))
-            result = env.step(actions)
-            observations = result.observations
-            done = result.done
+    evaluate(_MessageProbe(agent, log), env, episodes=episodes, seed=seed)
     return log
 
 

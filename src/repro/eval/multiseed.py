@@ -158,19 +158,9 @@ def run_multiseed(
         return result
 
     def run_one_seed(seed: int) -> SeedRun:
-        experiment = make_experiment(scale, seed=seed, scenario=scenario)
-
-        def seeded_factory(environment, s=seed):
-            return factory(environment, s)
-
-        agent, history = experiment.train_agent(seeded_factory, pattern=train_pattern)
-        evaluation = experiment.evaluate_agent(agent, eval_pattern)
-        return SeedRun(
-            seed=seed,
-            wait_curve=history.wait_curve,
-            eval_travel_time=evaluation.average_travel_time,
-            completion_rate=evaluation.completion_rate,
-        )
+        return _run_seeds_batched(
+            scale, factory, [seed], train_pattern, eval_pattern, scenario
+        )[0]
 
     result.runs.extend(
         parallel_map(run_one_seed, seeds, workers=workers, timeout_s=timeout_s)
@@ -189,11 +179,12 @@ def _run_seeds_batched(
     batched_policy: bool = False,
     shared_across_replicas: bool = False,
 ) -> list[SeedRun]:
-    """All seeds in one process over one batched SoA engine.
+    """All ``seeds`` in one process, in lockstep over one batched SoA
+    engine (one replica per seed); a single seed is the per-seed run.
 
-    Builds the same per-seed experiments/envs/agents the serial path
-    does, then trains and evaluates them in lockstep (one engine replica
-    per seed); per-seed episode seeds match the serial runner exactly.
+    Each seed gets its own experiment, envs and agent; its episode seeds,
+    NaN guard and ``SimulationError`` containment are the serial
+    runner's, so the results do not depend on how seeds are grouped.
     """
     from repro.eval.batched import evaluate_lockstep, train_lockstep
 
@@ -211,6 +202,8 @@ def _run_seeds_batched(
         seeds,
         batched_policy=batched_policy,
         shared_across_replicas=shared_across_replicas,
+        nan_guard=True,
+        max_episode_failures=None,
     )
     eval_envs = [exp.eval_env(eval_pattern) for exp in experiments]
     evaluations = evaluate_lockstep(

@@ -1,35 +1,26 @@
-"""Training and evaluation orchestration.
+"""Training and evaluation of one agent system on one env.
 
-Implements the experiment protocols of Section VI:
+The experiment protocols of Section VI: :func:`train` runs N training
+episodes and records each one's average waiting time (the y-axis of
+Figs. 7, 8 and 10); :func:`evaluate` runs drain-mode episodes with
+greedy policies and reports average travel time (Tables II / III).
 
-* :func:`train` — run N training episodes, recording the per-episode
-  average waiting time (the y-axis of Figs. 7, 8 and 10).
-* :func:`evaluate` — run drain-mode episodes with greedy policies and
-  report average travel time (the Table II / III metric).
-
-:func:`train` is **crash-safe**: it can write periodic atomic
-checkpoints (weights + optimizer + RNG streams + episode index) and
-resume from them via ``resume_from=``; a NaN/divergence guard detects
-poisoned updates and rolls the agent back to its last good state; and a
-``SimulationError`` aborts only the offending episode, not the run.
+Both are one-env (B=1) calls into the episode loops of
+:mod:`repro.eval.batched`, which every B shares.  :func:`train` is
+**crash-safe** there: atomic checkpoints with bit-exact resume, a NaN
+guard that rolls a poisoned update back, and ``SimulationError``
+containment that aborts only the offending episode.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.agents.base import AgentSystem
 from repro.env.tsc_env import TrafficSignalEnv
-from repro.errors import SimulationError
-from repro.perf.timers import TIMERS
-from repro.rl.checkpoint import (
-    load_training_checkpoint,
-    save_training_checkpoint,
-)
 
 if TYPE_CHECKING:  # runtime import is lazy; telemetry is opt-in
     from repro.obs.telemetry import Telemetry
@@ -45,9 +36,9 @@ class EpisodeLog:
     duration_s: float
     update_stats: dict = field(default_factory=dict)
     #: Wall-clock of the whole lockstep *group* episode (B seeds sharing
-    #: one engine).  Serial runs leave it at 0.0; batched runs stamp the
-    #: group time here and the amortized per-seed share in
-    #: ``duration_s``, keeping per-seed throughput comparisons honest.
+    #: one engine), update included.  ``duration_s`` is the amortized
+    #: per-seed share (group time / B), keeping per-seed throughput
+    #: comparisons honest; at B=1 the two are equal.
     group_duration_s: float = 0.0
 
 
@@ -90,65 +81,10 @@ def run_episode(
     seed: int | None = None,
 ) -> tuple[float, float, dict]:
     """Run one full episode; returns (avg_wait, total_reward, final_info)."""
-    observations = env.reset(seed=seed)
-    agent.begin_episode(env, training)
-    wait_samples: list[float] = []
-    total_reward = 0.0
-    info: dict = {}
-    done = False
-    while not done:
-        with TIMERS.section("forward"):
-            actions = agent.act(observations, env, training)
-        with TIMERS.section("env_step"):
-            result = env.step(actions)
-        if training:
-            agent.observe(result, env)
-        observations = result.observations
-        wait_samples.append(result.info["average_wait"])
-        total_reward += float(sum(result.rewards.values()))
-        done = result.done
-        info = result.info
-    avg_wait = float(np.mean(wait_samples)) if wait_samples else 0.0
-    return avg_wait, total_reward, info
+    from repro.eval.batched import LockstepEnvGroup, policy_driver, run_episodes
 
-
-def _capture_agent_state(agent: AgentSystem) -> tuple[dict, dict]:
-    """Snapshot weights + training state for guard rollback."""
-    return agent.state_dict(), agent.training_state()
-
-
-def _restore_agent_state(agent: AgentSystem, snapshot: tuple[dict, dict]) -> None:
-    weights, training = snapshot
-    if weights:
-        agent.load_state_dict(weights)
-    if training:
-        agent.load_training_state(training)
-
-
-def _episode_is_finite(
-    agent: AgentSystem, avg_wait: float, total_reward: float, stats: dict
-) -> bool:
-    """NaN/divergence guard: episode metrics, update diagnostics and the
-    resulting weights must all be finite."""
-    if not (np.isfinite(avg_wait) and np.isfinite(total_reward)):
-        return False
-    for value in stats.values():
-        if isinstance(value, (int, float)) and not np.isfinite(value):
-            return False
-    for array in agent.state_dict().values():
-        if not np.all(np.isfinite(array)):
-            return False
-    return True
-
-
-def _checkpoint_meta(history: TrainingHistory, next_episode: int, seed: int) -> dict:
-    return {
-        "next_episode": next_episode,
-        "seed": seed,
-        "history": [asdict(log) for log in history.episodes],
-        "aborted_episodes": list(history.aborted_episodes),
-        "rolled_back_episodes": list(history.rolled_back_episodes),
-    }
+    group = LockstepEnvGroup([env])
+    return run_episodes(group, policy_driver([agent], group), [seed], training)[0]
 
 
 def train(
@@ -165,106 +101,18 @@ def train(
     max_episode_failures: int | None = None,
     telemetry: "Telemetry | None" = None,
 ) -> TrainingHistory:
-    """Train ``agent`` for ``episodes`` episodes on ``env``.
+    """Train ``agent`` for ``episodes`` episodes on ``env``: the one-env
+    :func:`repro.eval.batched.train_lockstep` run, with the NaN guard and
+    ``SimulationError`` containment on by default.  See there for the
+    checkpoint, resume, guard, containment and telemetry options."""
+    from repro.eval.batched import train_lockstep
 
-    Resilience features (all optional, defaults preserve behaviour on
-    healthy runs):
-
-    * ``checkpoint_dir`` — write an atomic checkpoint (weights +
-      optimizer + RNG streams + history) every ``checkpoint_every``
-      completed episodes.
-    * ``resume_from`` — a checkpoint file or directory to restore before
-      training; the run continues from the recorded episode index with
-      identical RNG streams, so an interrupted run reproduces the
-      uninterrupted one.
-    * ``nan_guard`` — after each update, verify episode metrics, update
-      diagnostics and weights are finite; a poisoned update is rolled
-      back to the last good state and the episode recorded in
-      ``history.rolled_back_episodes``.
-    * ``SimulationError`` containment — an episode whose simulation
-      blows up is recorded in ``history.aborted_episodes`` and skipped;
-      after ``max_episode_failures`` such failures (``None`` = no limit)
-      the error propagates.
-    * ``telemetry`` — a :class:`repro.obs.telemetry.Telemetry` sink
-      recording episode/update/checkpoint/fault events into a run
-      directory.  Telemetry only *reads* run state and never draws from
-      any RNG stream, so an instrumented run is **bit-exact** with an
-      uninstrumented one (enforced by the test suite).
-    """
-    if telemetry is not None:
-        env.attach_telemetry(telemetry)
-        agent.attach_telemetry(telemetry)
-    history = TrainingHistory(agent_name=agent.name)
-    start_episode = 0
-    if resume_from is not None:
-        meta = load_training_checkpoint(resume_from, agent)
-        history.episodes = [EpisodeLog(**log) for log in meta.get("history", [])]
-        history.aborted_episodes = [int(e) for e in meta.get("aborted_episodes", [])]
-        history.rolled_back_episodes = [
-            int(e) for e in meta.get("rolled_back_episodes", [])
-        ]
-        start_episode = int(meta.get("next_episode", len(history.episodes)))
-    snapshot = _capture_agent_state(agent) if nan_guard else None
-    failures = 0
-    for episode in range(start_episode, episodes):
-        started = time.perf_counter()
-        if telemetry is not None:
-            telemetry.episode_begin(episode, seed + episode)
-        try:
-            avg_wait, total_reward, _ = run_episode(
-                agent, env, training=True, seed=seed + episode
-            )
-            with TIMERS.section("update"):
-                stats = agent.end_episode(env, training=True)
-        except SimulationError as error:
-            failures += 1
-            history.aborted_episodes.append(episode)
-            if telemetry is not None:
-                telemetry.episode_aborted(episode, str(error))
-            if max_episode_failures is not None and failures > max_episode_failures:
-                raise
-            if log_every:
-                print(f"[{agent.name}] episode {episode + 1} aborted: {error}")
-            continue
-        if nan_guard and not _episode_is_finite(agent, avg_wait, total_reward, stats):
-            if snapshot is not None:
-                _restore_agent_state(agent, snapshot)
-            history.rolled_back_episodes.append(episode)
-            if telemetry is not None:
-                telemetry.nan_rollback(episode)
-            if log_every:
-                print(
-                    f"[{agent.name}] episode {episode + 1} diverged; "
-                    "rolled back to last good state"
-                )
-            continue
-        log = EpisodeLog(
-            episode=episode,
-            avg_wait=avg_wait,
-            total_reward=total_reward,
-            duration_s=time.perf_counter() - started,
-            update_stats=stats,
-        )
-        history.episodes.append(log)
-        if telemetry is not None:
-            telemetry.episode_end(episode, avg_wait, total_reward, log.duration_s)
-            telemetry.update_stats(episode, stats)
-        if nan_guard:
-            snapshot = _capture_agent_state(agent)
-        if checkpoint_dir is not None and (
-            (episode + 1) % max(1, checkpoint_every) == 0 or episode == episodes - 1
-        ):
-            save_training_checkpoint(
-                checkpoint_dir, agent, _checkpoint_meta(history, episode + 1, seed)
-            )
-            if telemetry is not None:
-                telemetry.checkpoint_written(episode + 1, checkpoint_dir)
-        if log_every and (episode + 1) % log_every == 0:
-            print(
-                f"[{agent.name}] episode {episode + 1}/{episodes} "
-                f"avg_wait={avg_wait:.2f}s reward={total_reward:.1f}"
-            )
-    return history
+    return train_lockstep(
+        [agent], [env], episodes, [seed], log_every=log_every,
+        checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
+        resume_from=resume_from, nan_guard=nan_guard,
+        max_episode_failures=max_episode_failures, telemetry=telemetry,
+    )[0]
 
 
 def train_with_eval(
@@ -279,34 +127,24 @@ def train_with_eval(
     """Train with periodic drain-mode evaluations.
 
     Every ``eval_every`` episodes (and once more at the end) the agent is
-    frozen and evaluated greedily on ``eval_env``; the checkpoints let
-    you see *generalisation* progress, not just the training curve.
-    Returns ``(history, [(episode, evaluation), ...])``.
+    frozen and evaluated greedily on ``eval_env``, to show
+    *generalisation* progress, not just the training curve.  Returns
+    ``(history, [(episode, evaluation), ...])``.
     """
+    from repro.eval.batched import train_lockstep
+
     if eval_every <= 0:
         raise ValueError("eval_every must be positive")
     history = TrainingHistory(agent_name=agent.name)
     checkpoints: list[tuple[int, EvaluationResult]] = []
-    for episode in range(episodes):
-        started = time.perf_counter()
-        avg_wait, total_reward, _ = run_episode(
-            agent, train_env, training=True, seed=seed + episode
-        )
-        stats = agent.end_episode(train_env, training=True)
-        history.episodes.append(
-            EpisodeLog(
-                episode=episode,
-                avg_wait=avg_wait,
-                total_reward=total_reward,
-                duration_s=time.perf_counter() - started,
-                update_stats=stats,
-            )
-        )
-        if (episode + 1) % eval_every == 0 or episode == episodes - 1:
-            result = evaluate(
-                agent, eval_env, episodes=eval_episodes, seed=seed + 10_000
-            )
-            checkpoints.append((episode, result))
+    for start in range(0, episodes, eval_every):
+        stop = min(start + eval_every, episodes)
+        stretch = train_lockstep([agent], [train_env], stop - start, [seed + start])[0]
+        for log in stretch.episodes:
+            log.episode += start
+        history.episodes += stretch.episodes
+        result = evaluate(agent, eval_env, episodes=eval_episodes, seed=seed + 10_000)
+        checkpoints.append((stop - 1, result))
     return history, checkpoints
 
 
@@ -337,36 +175,8 @@ def evaluate(
     episodes: int = 1,
     seed: int = 10_000,
 ) -> EvaluationResult:
-    """Evaluate with greedy policies; env should be in drain mode.
+    """Evaluate with greedy policies; env should be in drain mode.  The
+    one-env :func:`repro.eval.batched.evaluate_lockstep` run."""
+    from repro.eval.batched import evaluate_lockstep
 
-    An episode with no finished vehicles has no travel-time sample; such
-    episodes are counted in ``invalid_episodes`` and excluded from the
-    mean instead of poisoning it with NaN.
-    """
-    travel_times: list[float] = []
-    waits: list[float] = []
-    finished = 0
-    created = 0
-    for episode in range(episodes):
-        avg_wait, _, info = run_episode(
-            agent, env, training=False, seed=seed + episode
-        )
-        agent.end_episode(env, training=False)
-        travel_times.append(info.get("average_travel_time", float("nan")))
-        waits.append(avg_wait)
-        finished += info.get("finished_vehicles", 0)
-        created += info.get("total_created", 0)
-    samples = np.asarray(travel_times, dtype=np.float64)
-    invalid = int(np.count_nonzero(np.isnan(samples)))
-    average_tt = (
-        float(np.nanmean(samples)) if invalid < len(samples) else float("nan")
-    )
-    return EvaluationResult(
-        agent_name=agent.name,
-        average_travel_time=average_tt,
-        average_wait=float(np.mean(waits)),
-        finished_vehicles=finished,
-        total_created=created,
-        episodes=episodes,
-        invalid_episodes=invalid,
-    )
+    return evaluate_lockstep([agent], [env], episodes, [seed])[0]

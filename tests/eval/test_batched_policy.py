@@ -16,8 +16,8 @@ seed, down to the parameter bytes.  The suite pins:
 * the ``shared_across_replicas`` training regime (no serial oracle:
   deterministic, finite, one combined update; the fused kernels
   bit-exact with the composed op chains of ``helpers.composed_kernels``);
-* the satellite fix: ``duration_s`` is the per-seed share and
-  ``group_duration_s`` the whole-group wall-clock.
+* ``duration_s`` is the per-seed share and ``group_duration_s`` the
+  whole-group wall-clock, update included, at every B (B=1 included).
 """
 
 from __future__ import annotations
@@ -283,9 +283,31 @@ class TestGroupDurationStamping:
                     log.group_duration_s / len(SEEDS)
                 )
 
-    def test_serial_runner_leaves_group_time_zero(self):
+    def test_serial_runner_is_its_own_group(self):
         env = _make_envs()[0]
         agent = _pairuplight(env, 0)
         history = train(agent, env, episodes=1, seed=0)
-        assert history.episodes[0].group_duration_s == 0.0
+        assert history.episodes[0].group_duration_s == history.episodes[0].duration_s
         assert history.episodes[0].duration_s > 0.0
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_duration_includes_the_update(self, batch):
+        """``duration_s`` covers the whole episode, update included, on
+        the serial and the lockstep path alike."""
+        import time
+
+        from repro.agents import FixedTimeSystem
+
+        update_s = 0.05
+
+        class SlowUpdate(FixedTimeSystem):
+            def end_episode(self, env, training):
+                time.sleep(update_s)
+                return {}
+
+        envs = _make_envs()[:batch]
+        histories = train_lockstep(
+            [SlowUpdate(env) for env in envs], envs, 1, SEEDS[:batch]
+        )
+        for history in histories:
+            assert history.episodes[0].group_duration_s >= batch * update_s

@@ -93,20 +93,32 @@ class TestEnvEngineSwitch:
 
 
 def _on_object_engine(sweep):
-    """``sweep()`` with every experiment env built on the object engine."""
+    """``sweep()`` with every experiment env built on, and stepped by,
+    the object engine: the reference ``Simulation`` must have stepped,
+    so the sweep cannot quietly run on SoA."""
     from repro.env.tsc_env import EnvConfig
     from repro.eval import harness
+    from repro.sim.engine import Simulation
 
     made = []
+    object_steps = []
 
     def object_config(**kwargs):
         made.append(EnvConfig(engine="object", **kwargs))
         return made[-1]
 
+    step = Simulation.step
+
+    def counted_step(self, *args, **kwargs):
+        object_steps.append(1)
+        return step(self, *args, **kwargs)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "EnvConfig", object_config)
+        patch.setattr(Simulation, "step", counted_step)
         result = sweep()
     assert made and all(config.engine == "object" for config in made)
+    assert object_steps
     return result
 
 

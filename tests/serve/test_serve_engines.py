@@ -117,3 +117,44 @@ def test_healthy_serve_env_engages_the_extractor():
     result = env.step({a: 0 for a in env.agent_ids})
     assert env._extractor is not None
     assert set(result.observations) == set(env.agent_ids)
+
+
+@pytest.mark.parametrize("engine", ["soa", "object"])
+def test_serve_run_constructs_no_object_engine(engine):
+    """A short run shaped like the ``serve_6x6_faults`` benchmark (6x6,
+    controller deaths and message delay, one episode boundary crossed)
+    builds no reference ``Simulation`` at all; the ``object`` case shows
+    the count sees one when the env asks for it."""
+    from repro.sim.engine import Simulation
+
+    scale = ExperimentScale(
+        rows=6, cols=6, peak_rate=500.0, t_peak=100.0, light_duration=200.0,
+        horizon_ticks=50, max_ticks=14400, train_episodes=1, eval_episodes=1,
+    )
+    faults = FaultConfig(controller_failure=0.25, message_delay=0.25)
+    env = GridExperiment(scale, seed=1000).train_env(1, faults=faults)
+    env.config.engine = engine
+    built = []
+    init = Simulation.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Simulation, "__init__", counted_init)
+        runtime = PolicyRuntime(lambda: PairUpLightSystem(env, seed=7))
+        service = ControlService(
+            env, runtime, ServeConfig(deadline_ms=500.0, watchdog=False)
+        )
+        observations = service.start_episode(seed=1000)
+        episodes = 0
+        for _ in range(15):
+            result = env.step(service.decide(observations))
+            if result.done:
+                episodes += 1
+                observations = service.start_episode()
+            else:
+                observations = result.observations
+    assert episodes == 1
+    assert (len(built) == 0) == (engine == "soa")

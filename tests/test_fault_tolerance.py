@@ -23,6 +23,7 @@ from repro.agents.pairuplight.messaging import (
     ResilientMessageReader,
 )
 from repro.errors import CheckpointError, FaultInjectionError, SimulationError
+from repro.eval import batched
 from repro.eval.harness import ExperimentScale, GridExperiment
 from repro.eval.robustness import (
     formatted_degradation_table,
@@ -361,9 +362,10 @@ class _IdleAgent(AgentSystem):
 
 class TestEvaluateNaNHandling:
     def _patch_episodes(self, monkeypatch, infos):
+        """Each episode of the one evaluation loop ends with the next info."""
         episodes = iter(infos)
         monkeypatch.setattr(
-            runner, "run_episode", lambda *a, **k: (1.0, 0.0, next(episodes))
+            batched, "run_episodes", lambda *a, **k: [(1.0, 0.0, next(episodes))]
         )
 
     def test_nan_episode_excluded_from_mean(self, monkeypatch):
