@@ -24,9 +24,9 @@
 #      that must step the SoA engine and never the object engine, so
 #      serving stays on the production engine,
 #   8. the train stage: one short traced 6x6 B=8 shared training run
-#      that must be correct with zero failed operations and at least
-#      one PPO update, so the grouped LSTM trunk kernel stays on the
-#      traced update path,
+#      that must be correct with zero failed operations, at least one
+#      PPO update and at least one traced nn.tensor backward, so the
+#      grouped LSTM trunk kernel stays on the traced update path,
 #   9. the crash-safety stage: a 2x2 training run that checkpoints every
 #      episode is killed with SIGKILL after its first checkpoint, and
 #      resuming it must print the uninterrupted run's wait summary,
@@ -89,9 +89,13 @@ python3 perfbench/run.py --workload train_6x6_shared_b8 --seed 1 --seconds 7 --t
 import json, sys
 result = json.loads(sys.stdin.read())
 updates = result["metrics"]["rl.ppo.update.calls"]["value"]
-print("correct=%s failed=%s ppo_updates=%s" % (result["correct"], result["failed"], updates))
+backwards = result["metrics"]["nn.tensor.backward.calls"]["value"]
+print("correct=%s failed=%s ppo_updates=%s backwards=%s"
+      % (result["correct"], result["failed"], updates, backwards))
 if not result["correct"] or result["failed"] != 0 or updates <= 0:
     sys.exit("train stage failed")
+if backwards <= 0:
+    sys.exit("train stage failed: the update must backpropagate through nn.tensor")
 '
 
 echo "== crash-safety stage (kill -9 a checkpointing 2x2 run, resume it) =="

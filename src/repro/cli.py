@@ -318,22 +318,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
     config = ServeConfig(deadline_ms=args.deadline_ms, fallback=args.fallback)
     service = ControlService(env, runtime, config, telemetry=telemetry)
-    reload_at = args.reload_at if args.reload_at >= 0 else args.ticks // 2
+    # Ticks served before the reload is requested.
+    head = args.ticks
+    if args.reload_from:
+        head = min(args.reload_at if args.reload_at >= 0 else args.ticks // 2, head)
     try:
-        observations = service.start_episode(args.seed)
-        for tick in range(args.ticks):
-            if args.reload_from and tick == reload_at:
-                service.request_reload(args.reload_from)
-            actions = service.decide(observations)
-            result = env.step(actions)
-            if result.done:
-                service.health.episodes += 1
-                observations = service.start_episode()
-            else:
-                observations = result.observations
-        report = service.health.report(service.fallbacks.snapshot())
-        if telemetry is not None:
-            telemetry.serve_session(report)
+        observations = service.run_ticks(service.start_episode(args.seed), head)
+        if head < args.ticks:
+            service.request_reload(args.reload_from)
+            service.run_ticks(observations, args.ticks - head)
+        service.end_session()
     finally:
         if telemetry is not None:
             telemetry.close()

@@ -108,16 +108,33 @@ class ControlService:
         """Serve ``ticks`` decision steps, spanning episodes as needed."""
         if ticks <= 0:
             raise ConfigError("ticks must be positive")
-        observations = self.start_episode(seed)
+        self.run_ticks(self.start_episode(seed), ticks)
+        return self.end_session()
+
+    def run_ticks(
+        self, observations: dict[str, np.ndarray], ticks: int
+    ) -> dict[str, np.ndarray]:
+        """Serve ``ticks`` decision steps from ``observations``, starting a
+        new episode whenever one ends; return the next tick's observations.
+
+        :meth:`serve` is one call; a caller that acts between two ticks
+        (say, requests a reload) splits the session into several.
+        """
         for _ in range(ticks):
-            actions = self.decide(observations)
-            result = self.env.step(actions)
+            result = self.env.step(self.decide(observations))
             observations = result.observations
             if result.done:
                 self.health.episodes += 1
                 observations = self.start_episode()
+        return observations
+
+    def end_session(self) -> HealthTracker:
+        """Report the session, per-intersection fallback state included,
+        to telemetry; return the health tracker."""
         if self.telemetry is not None:
-            self.telemetry.serve_session(self.health.report())
+            self.telemetry.serve_session(
+                self.health.report(self.fallbacks.snapshot())
+            )
         return self.health
 
     # ------------------------------------------------------------------

@@ -17,7 +17,7 @@ downstream head consuming the stacked output so the head gradient
   forward-error bound checked by the property test at the end.
 
 The single-trunk tests come first; the production-shape and grouped
-(G = 2) tests follow.
+(G = 2 and 3) tests follow.
 """
 
 from __future__ import annotations
@@ -311,6 +311,55 @@ def test_grouped_ragged_minibatches_share_a_workspace():
         _assert_group_bits(_run_group(specs, "kernel", workspace), specs)
 
 
+def test_three_trunks_ragged_minibatches_share_a_workspace():
+    """G = 3, three input widths: with more than one trunk each weight
+    gradient reads its trunk's rows from a contiguous copy."""
+    workspace: dict = {}
+    for rows in (8, 3, 1):
+        specs = [
+            (_prod_inputs(9, rows, seed=rows), _trunk_params(9, 10, True)),
+            (_prod_inputs(32, rows, seed=rows + 1), _trunk_params(32, 11, True)),
+            (_prod_inputs(5, rows, seed=rows + 2), _trunk_params(5, 12, False)),
+        ]
+        _assert_group_bits(_run_group(specs, "kernel", workspace), specs)
+
+
+def test_workspace_footprint_at_production_shapes():
+    """A grad-enabled call and its backward leave no more workspace bytes
+    than the group-major layout before gate-major storage did: saved
+    inputs, gates and cell states, the stacked parameters and the
+    per-step scratch."""
+    groups, steps, rows, enc, hs = 2, PROD_T, 8, PROD_E, PROD_H
+    width = enc + hs
+    saved = (
+        groups * (steps + 1) * rows * width  # encoder outputs and h
+        + groups * steps * rows * 4 * hs  # gate activations
+        + (2 * steps + 1) * groups * rows * hs  # c_0..c_T and tanh(c)
+        + groups * (width * 4 * hs + 4 * hs)  # stacked weights and biases
+        + groups * rows * (4 * hs + 2 * hs)  # one step's gates, tanh(g), i*g
+    )
+    backward = (
+        groups * steps * rows * enc  # encoder pre-activation gradients
+        + groups * rows * (4 * hs + width + 5 * hs)  # one step's scratch
+    )
+    specs = [
+        (_prod_inputs(9, rows, seed=1), _trunk_params(9, 1, True)),
+        (_prod_inputs(32, rows, seed=2), _trunk_params(32, 2, True)),
+    ]
+    workspace: dict = {}
+    hiddens = lstm_sequence(
+        *[(x, *[Tensor(p, requires_grad=True) for p in ps]) for x, ps in specs],
+        workspace=workspace,
+    )
+
+    def nbytes() -> int:
+        return sum(v.nbytes for v in workspace.values() if isinstance(v, np.ndarray))
+
+    assert nbytes() <= 8 * saved
+    _grouped_loss(hiddens).backward()
+    assert nbytes() <= 8 * (saved + backward)
+
+
 def test_grouped_records_one_kernel_node_and_taps():
     """G = 2: one kernel node over every leaf, then one tap per further trunk."""
     trunks = [
@@ -434,13 +483,15 @@ def _weight_gradient_magnitudes(x, params, workspace: dict, g: int, hidden):
     """``Σ|input|·|dpre|`` over the ``T·N`` rows for trunk ``g``'s encoder
     and LSTM weight, read after the backward: the kernel leaves each
     step's gate and encoder pre-activation gradients in its ``seq_act``
-    and ``seq_d_enc`` buffers."""
+    (as ``(T, G, N, 4H)``) and ``seq_d_enc`` buffers."""
     enc_weight, enc_bias = params[:2]
     steps, rows = x.shape[:2]
     encoded = np.tanh(x @ enc_weight + enc_bias)
     h_prev = np.concatenate([np.zeros((1, *hidden.shape[1:])), hidden[:-1]])
     xh = np.concatenate([encoded, h_prev], axis=-1).reshape(steps * rows, -1)
-    dpre = workspace["seq_act"][g].reshape(steps * rows, -1)
+    groups = workspace["seq_act"].shape[2]
+    dpre = workspace["seq_act"].reshape(steps, groups, rows, -1)[:, g]
+    dpre = dpre.reshape(steps * rows, -1)
     dpre_enc = workspace["seq_d_enc"][g].reshape(steps * rows, -1)
     x_rows = x.reshape(steps * rows, -1)
     return np.abs(x_rows).T @ np.abs(dpre_enc), np.abs(xh).T @ np.abs(dpre)
@@ -450,7 +501,7 @@ def _weight_gradient_magnitudes(x, params, workspace: dict, g: int, hidden):
 @given(
     steps=st.integers(1, 12),
     row_counts=st.lists(st.integers(1, 6), min_size=1, max_size=3),
-    features=st.lists(st.integers(1, 7), min_size=1, max_size=2),
+    features=st.lists(st.integers(1, 7), min_size=1, max_size=3),
     seed=st.integers(0, 2**16),
 )
 def test_weight_gradients_within_forward_error_of_unroll(
@@ -459,7 +510,7 @@ def test_weight_gradients_within_forward_error_of_unroll(
     """Both weight gradients sum the same ``T·N`` products per element,
     the kernel in one GEMM and the unroll over ``T`` per-step GEMMs.
     Each sum is within ``γ_{T·N}·Σ|input|·|dpre|`` of the exact one, so
-    the two are within twice that of each other.  ``G`` is 1 or 2
+    the two are within twice that of each other.  ``G`` is 1 to 3
     trunks of distinct widths, run over ragged row counts through one
     workspace."""
     rng = np.random.default_rng(seed)

@@ -227,6 +227,41 @@ class TestHealthReport:
         assert set(report["intersections"]) == set(env.agent_ids)
         assert "p99" in report["latency_ms"]
 
+    def test_serve_session_event_carries_fallback_snapshot(self, tiny_grid, tmp_path):
+        """``serve()`` reports the session with each intersection's
+        fallback state, as the CLI's serve command does."""
+        import json
+
+        from repro.obs import Telemetry
+        from repro.obs.events import read_events
+
+        env = make_env(tiny_grid)
+        bad_node = env.agent_ids[0]
+
+        def one_bad(observations, env, call):
+            actions = {node: 0 for node in env.agent_ids}
+            actions[bad_node] = 99
+            return actions
+
+        telemetry = Telemetry(tmp_path / "tel")
+        service = ControlService(
+            env,
+            PolicyRuntime(lambda: ScriptedPolicy(one_bad)),
+            ServeConfig(watchdog=False),
+            telemetry=telemetry,
+            clock=FakeClock(),
+        )
+        service.serve(ticks=3, seed=0)
+        telemetry.close()
+        (session,) = [
+            e["data"] for e in read_events(telemetry.events.path)
+            if e["type"] == "serve_session"
+        ]
+        snapshot = json.loads(json.dumps(service.fallbacks.snapshot()))
+        assert session["intersections"] == snapshot
+        assert snapshot[bad_node] != snapshot[env.agent_ids[1]]
+        assert session["ticks"] == 3
+
     def test_latency_percentiles_from_observed_ticks(self):
         from repro.serve import HealthTracker
 

@@ -190,6 +190,42 @@ class TestGridSize:
         )
 
 
+class TestServeReload:
+    @pytest.mark.parametrize(
+        "reload_at, ticks, applied_at",
+        [(4, 9, [4]), (0, 3, [0]), (-1, 8, [4]), (9, 9, [])],
+    )
+    def test_reload_applies_at_requested_tick(
+        self, tmp_path, capsys, monkeypatch, reload_at, ticks, applied_at
+    ):
+        """``--reload-at k`` reloads before tick k's decision (-1 = the
+        midpoint; k past the last tick reloads nothing)."""
+        from repro.serve import ControlService
+
+        weights = tmp_path / "policy.npz"
+        assert main(["train", *FAST, "--weights-out", str(weights)]) == 0
+        ticks_seen = []
+        apply = ControlService._apply_pending_reload
+
+        def spy(service):
+            # decide() counts its tick, then applies the pending reload.
+            ticks_seen.append(service.tick_index - 1)
+            apply(service)
+
+        monkeypatch.setattr(ControlService, "_apply_pending_reload", spy)
+        capsys.readouterr()
+        code = main(
+            ["serve", *FAST[:10], "--ticks", str(ticks),
+             "--checkpoint", str(weights), "--reload-from", str(weights),
+             "--reload-at", str(reload_at)]
+        )
+        assert code == 0
+        assert ticks_seen == applied_at
+        out = capsys.readouterr().out
+        assert f"{ticks * 4} intersection-decisions served (0 unserved)" in out
+        assert (f"reload {weights}: applied" in out) == bool(applied_at)
+
+
 class TestZooCommand:
     def test_list(self, capsys):
         assert main(["zoo", "list"]) == 0
