@@ -23,7 +23,6 @@ from repro.agents import (
     MA2CSystem,
     PairUpLightConfig,
     PairUpLightSystem,
-    SingleAgentSystem,
 )
 from repro.env import EnvConfig, TrafficSignalEnv
 from repro.eval import formatted_overhead_table, overhead_table
@@ -51,7 +50,11 @@ def main() -> None:
         MA2CSystem(env, seed=args.seed),
         CoLightSystem(env, seed=args.seed),
         PairUpLightSystem(env, seed=args.seed),
-        SingleAgentSystem(env, seed=args.seed),
+        PairUpLightSystem(  # SingleAgentRL
+            env,
+            PairUpLightConfig(communicate=False, centralized_critic=False),
+            seed=args.seed,
+        ),
         FixedTimeSystem(env),
     ]
     print(formatted_overhead_table(overhead_table(agents, env)))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.agents import FixedTimeSystem, PairUpLightSystem, SingleAgentSystem
+from repro.agents import FixedTimeSystem, PairUpLightConfig, PairUpLightSystem
 from repro.eval import ExperimentScale, run_table2
 
 
@@ -44,7 +44,11 @@ def main() -> None:
 
     factories = {
         "Fixedtime": lambda env: FixedTimeSystem(env),
-        "SingleAgent": lambda env: SingleAgentSystem(env, seed=args.seed),
+        "SingleAgent": lambda env: PairUpLightSystem(
+            env,
+            PairUpLightConfig(communicate=False, centralized_critic=False),
+            seed=args.seed,
+        ),
         "PairUpLight": lambda env: PairUpLightSystem(env, seed=args.seed),
     }
 

@@ -27,9 +27,11 @@
 #      that must be correct with zero failed operations, at least one
 #      PPO update and at least one traced nn.tensor backward, so the
 #      grouped LSTM trunk kernel stays on the traced update path,
-#   9. the crash-safety stage: a 2x2 training run that checkpoints every
-#      episode is killed with SIGKILL after its first checkpoint, and
-#      resuming it must print the uninterrupted run's wait summary,
+#   9. the crash-safety stage: for PairUpLight and for SingleAgent (its
+#      no-communication, local-critic preset), a 2x2 training run that
+#      checkpoints every episode is killed with SIGKILL after its first
+#      checkpoint, and resuming it must print the uninterrupted run's
+#      wait summary,
 #  10. the coverage floors (stdlib trace; no coverage package):
 #      src/repro/obs and src/repro/scenarios.
 #
@@ -99,18 +101,27 @@ if backwards <= 0:
 '
 
 echo "== crash-safety stage (kill -9 a checkpointing 2x2 run, resume it) =="
-run=$(mktemp -d)
-train=(python -u -m repro train --model PairUpLight --rows 2 --cols 2 --peak-rate 300
-       --t-peak 60 --horizon 150 --episodes 30)
-"${train[@]}" | grep '^wait:' > "$run/uninterrupted"
-"${train[@]}" --checkpoint-dir "$run/ckpt" > /dev/null &
-pid=$!
-until [ -f "$run/ckpt/checkpoint.npz" ] || ! kill -0 "$pid" 2> /dev/null; do sleep 0.05; done
-kill -9 "$pid" 2> /dev/null || true
-status=0; wait "$pid" || status=$?
-[ "$status" -eq 137 ] || { echo "crash-safety stage failed: exit $status, not killed"; exit 1; }
-"${train[@]}" --resume-from "$run/ckpt" | grep '^wait:' > "$run/resumed"
-diff "$run/uninterrupted" "$run/resumed" && cat "$run/resumed" && rm -rf "$run"
+for model in PairUpLight SingleAgent; do
+    run=$(mktemp -d)
+    train=(python -u -m repro train --model "$model" --rows 2 --cols 2
+           --peak-rate 300 --t-peak 60 --horizon 150 --episodes 30)
+    "${train[@]}" | grep '^wait:' > "$run/uninterrupted"
+    "${train[@]}" --checkpoint-dir "$run/ckpt" > /dev/null &
+    pid=$!
+    until [ -f "$run/ckpt/checkpoint.npz" ] || ! kill -0 "$pid" 2> /dev/null; do
+        sleep 0.05
+    done
+    kill -9 "$pid" 2> /dev/null || true
+    status=0; wait "$pid" || status=$?
+    [ "$status" -eq 137 ] || {
+        echo "crash-safety stage failed ($model): exit $status, not killed"; exit 1;
+    }
+    "${train[@]}" --resume-from "$run/ckpt" | grep '^wait:' > "$run/resumed"
+    # A plain command, so that set -e stops CI when the runs differ.
+    diff "$run/uninterrupted" "$run/resumed"
+    echo "$model $(cat "$run/resumed")"
+    rm -rf "$run"
+done
 
 echo "== telemetry coverage floor (src/repro/obs) =="
 python scripts/check_obs_coverage.py

@@ -8,7 +8,8 @@ traffic signal control with multi-agent reinforcement learning:
 * :mod:`repro.env` — multi-agent Gym-style TSC environment,
 * :mod:`repro.rl` — PPO+GAE, A2C, DQN, training runner,
 * :mod:`repro.agents` — PairUpLight and the paper's baselines
-  (Fixedtime, SingleAgentRL, MA2C, CoLight),
+  (Fixedtime, SingleAgentRL — PairUpLight's no-communication,
+  local-critic preset — MA2C, CoLight),
 * :mod:`repro.scenarios` — 6x6 grid, flow patterns 1-5, Monaco-style
   heterogeneous network,
 * :mod:`repro.eval` — experiment pipelines reproducing the paper's

@@ -1,4 +1,8 @@
-"""Traffic-signal controllers: PairUpLight and all paper baselines."""
+"""Traffic-signal controllers: PairUpLight and all paper baselines.
+
+The SingleAgentRL baseline is the ``PairUpLightConfig(communicate=False,
+centralized_critic=False)`` preset of :class:`PairUpLightSystem`.
+"""
 
 from repro.agents.base import AgentSystem
 from repro.agents.colight import CoLightConfig, CoLightNetwork, CoLightSystem
@@ -10,7 +14,6 @@ from repro.agents.pairuplight import (
     PairUpLightConfig,
     PairUpLightSystem,
 )
-from repro.agents.single_agent import SingleAgentConfig, SingleAgentSystem
 
 __all__ = [
     "AgentSystem",
@@ -28,6 +31,4 @@ __all__ = [
     "MaxPressureSystem",
     "PairUpLightConfig",
     "PairUpLightSystem",
-    "SingleAgentConfig",
-    "SingleAgentSystem",
 ]

@@ -5,7 +5,8 @@ environment at once (one logical policy per intersection, possibly with
 shared parameters or inter-agent communication).  The episode loops
 (:mod:`repro.eval.batched`, behind :mod:`repro.rl.runner`) drive any
 implementation of this interface through an :class:`AgentGroup`, which
-keeps Fixedtime, SingleAgentRL, MA2C, CoLight and PairUpLight
+keeps Fixedtime, MA2C, CoLight and PairUpLight (whose
+``communicate=False, centralized_critic=False`` preset is SingleAgentRL)
 interchangeable in experiments.
 """
 

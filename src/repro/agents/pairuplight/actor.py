@@ -3,7 +3,9 @@
 Input: local observation (Eq. 5) concatenated with the incoming message
 from the communication partner.  Body: dense layer -> tanh -> LSTM.
 Heads: a phase-logit head (the action probability distribution) and a
-message head (the raw outgoing message mean).
+message head (the raw outgoing message mean).  With ``message_dim=0``
+(no communication) the actor has neither the message input nor the
+message head: it is the SingleAgentRL baseline's local policy.
 """
 
 from __future__ import annotations
@@ -38,15 +40,25 @@ class CoordinatedActor(Module):
         self.lstm = LSTMCell(hidden_size, hidden_size, rng)
         # Small-gain heads: near-uniform initial policy, near-zero messages.
         self.policy_head = Linear(hidden_size, num_phases, rng, gain=0.01)
-        self.message_head = Linear(hidden_size, message_dim, rng, gain=0.01)
+        self.message_head = (
+            Linear(hidden_size, message_dim, rng, gain=0.01) if message_dim else None
+        )
 
     def initial_state(self, batch: int = 1) -> tuple[np.ndarray, np.ndarray]:
         return self.lstm.initial_state(batch)
 
+    def _inputs(self, obs, incoming_message) -> Tensor:
+        """The encoder input: ``obs``, joined by the incoming message
+        unless the actor has no message input."""
+        obs = Tensor.ensure(obs)
+        if not self.message_dim:
+            return obs
+        return concat([obs, Tensor.ensure(incoming_message)], axis=-1)
+
     def step_hidden(
         self,
         obs: Tensor | np.ndarray,
-        incoming_message: Tensor | np.ndarray,
+        incoming_message: Tensor | np.ndarray | None,
         state: tuple,
     ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
         """Recurrent trunk only: encode the inputs and advance the LSTM.
@@ -56,12 +68,9 @@ class CoordinatedActor(Module):
         :meth:`sequence_trunk`) can go through each head once as a
         stacked ``(horizon, batch, hidden)`` tensor.
         """
-        obs = Tensor.ensure(obs)
-        incoming_message = Tensor.ensure(incoming_message)
-        x = concat([obs, incoming_message], axis=-1)
         h_prev, c_prev = state
         h_new, c_new = lstm_trunk(
-            x,
+            self._inputs(obs, incoming_message),
             h_prev,
             c_prev,
             self.encoder.weight,
@@ -75,14 +84,13 @@ class CoordinatedActor(Module):
     def sequence_trunk(
         self,
         obs_seq: Tensor | np.ndarray,
-        incoming_seq: Tensor | np.ndarray,
+        incoming_seq: Tensor | np.ndarray | None,
     ) -> tuple:
         """This network's trunk over a whole ``(horizon, batch, ·)``
         sequence, as one :func:`repro.nn.tensor.lstm_sequence` trunk
         ``(x, enc_weight, enc_bias, weight, bias)``."""
-        x = concat([Tensor.ensure(obs_seq), Tensor.ensure(incoming_seq)], axis=-1)
         return (
-            x,
+            self._inputs(obs_seq, incoming_seq),
             self.encoder.weight,
             self.encoder.bias,
             self.lstm.weight,
@@ -92,9 +100,9 @@ class CoordinatedActor(Module):
     def forward(
         self,
         obs: Tensor | np.ndarray,
-        incoming_message: Tensor | np.ndarray,
+        incoming_message: Tensor | np.ndarray | None,
         state: tuple,
-    ) -> tuple[Tensor, Tensor, tuple[Tensor, Tensor]]:
+    ) -> tuple[Tensor, Tensor | None, tuple[Tensor, Tensor]]:
         """One decision step.
 
         Parameters
@@ -102,13 +110,19 @@ class CoordinatedActor(Module):
         obs:
             ``(batch, obs_dim)`` local observations.
         incoming_message:
-            ``(batch, message_dim)`` regularized messages from partners.
+            ``(batch, message_dim)`` regularized messages from partners;
+            ignored (pass ``None``) when ``message_dim`` is 0.
         state:
             LSTM ``(h, c)``.
 
         Returns
         -------
-        ``(logits, message_mean, new_state)``.
+        ``(logits, message_mean, new_state)``; ``message_mean`` is
+        ``None`` without a message head.
         """
         hidden, new_state = self.step_hidden(obs, incoming_message, state)
-        return self.policy_head(hidden), self.message_head(hidden), new_state
+        # Policy head first: the graph's node order fixes the order in
+        # which the heads' gradients accumulate into ``hidden``.
+        logits = self.policy_head(hidden)
+        message_mean = None if self.message_head is None else self.message_head(hidden)
+        return logits, message_mean, new_state

@@ -22,6 +22,13 @@ With parameter sharing (homogeneous grids) the agents form a batch
 dimension through one shared actor/critic pair, which keeps both acting
 and the PPO re-evaluation fully vectorised; heterogeneous networks fall
 back to per-agent networks (paper Section V-A).
+
+Without communication the actor has no message input or head, and no
+message is routed, drawn or posted.  The paper's SingleAgentRL baseline
+(Section VI-B: one PPO policy over local observations, applied to every
+intersection) is the ``communicate=False, centralized_critic=False``
+preset, named "SingleAgent"; ``communicate=False`` alone is the
+"PairUpLight-NoComm" ablation.
 """
 
 from __future__ import annotations
@@ -110,7 +117,9 @@ class PairUpLightSystem(AgentSystem):
     ) -> None:
         self.config = config or PairUpLightConfig()
         if not self.config.communicate:
-            self.name = "PairUpLight-NoComm"
+            self.name = (
+                "PairUpLight-NoComm" if self.config.centralized_critic else "SingleAgent"
+            )
         self._rng = np.random.default_rng(seed)
         self.agent_ids = list(env.agent_ids)
         self.num_agents = len(self.agent_ids)
@@ -125,6 +134,7 @@ class PairUpLightSystem(AgentSystem):
                 "set parameter_sharing=False for this network"
             )
         net_rng = np.random.default_rng(seed + 1)
+        message_width = cfg.message_dim if cfg.communicate else 0
         if cfg.parameter_sharing:
             obs_dim = env.observation_spaces[self.agent_ids[0]].dim
             num_phases = env.action_spaces[self.agent_ids[0]].n
@@ -132,7 +142,7 @@ class PairUpLightSystem(AgentSystem):
             self.shared_actor: CoordinatedActor | None = CoordinatedActor(
                 obs_dim,
                 num_phases,
-                cfg.message_dim,
+                message_width,
                 cfg.hidden_size,
                 net_rng,
             )
@@ -152,7 +162,7 @@ class PairUpLightSystem(AgentSystem):
                 self.actors[agent_id] = CoordinatedActor(
                     env.observation_spaces[agent_id].dim,
                     env.action_spaces[agent_id].n,
-                    cfg.message_dim,
+                    message_width,
                     cfg.hidden_size,
                     net_rng,
                 )
@@ -236,8 +246,9 @@ class PairUpLightSystem(AgentSystem):
     # ------------------------------------------------------------------
     # Acting
     # ------------------------------------------------------------------
-    def _read_incoming(self, env: TrafficSignalEnv) -> np.ndarray:
-        """Gather each agent's incoming message (previous-step postings).
+    def _read_incoming(self, env: TrafficSignalEnv) -> np.ndarray | None:
+        """Gather each agent's incoming message (previous-step postings);
+        ``None`` without communication.
 
         The B=1 case of the batched group's routing: when the env's step
         extractor has this tick's congestion row, partners are picked on
@@ -249,9 +260,9 @@ class PairUpLightSystem(AgentSystem):
         — for the no-fallback ablation — read as zeros.
         """
         cfg = self.config
-        incoming = np.zeros((self.num_agents, cfg.message_dim))
         if not cfg.communicate:
-            return incoming
+            return None
+        incoming = np.zeros((self.num_agents, cfg.message_dim))
         congestion = env.congestion_rows()
         if congestion is None:
             self.router.route_reference(
@@ -340,14 +351,14 @@ class PairUpLightSystem(AgentSystem):
                 )
                 self._actor_state = (new_state[0].detach(), new_state[1].detach())
                 logits = logits_t.data
-                msg_means = msg_mean_t.data
+                msg_means = msg_mean_t.data if cfg.communicate else None
             else:
                 logits_rows = []
                 msg_rows = []
                 for index, agent_id in enumerate(self.agent_ids):
                     logit, msg_mean, new_state = self.actors[agent_id](
                         obs_rows[index].reshape(1, -1),
-                        incoming[index].reshape(1, -1),
+                        None if incoming is None else incoming[index].reshape(1, -1),
                         self._actor_state[agent_id],
                     )
                     self._actor_state[agent_id] = (
@@ -355,19 +366,20 @@ class PairUpLightSystem(AgentSystem):
                         new_state[1].detach(),
                     )
                     logits_rows.append(logit.data[0])
-                    msg_rows.append(msg_mean.data[0])
+                    if cfg.communicate:
+                        msg_rows.append(msg_mean.data[0])
                 logits = logits_rows
-                msg_means = np.stack(msg_rows)
+                msg_means = np.stack(msg_rows) if cfg.communicate else None
 
         if isinstance(logits, np.ndarray):
             probs = softmax_rows(logits)
         else:  # per-agent networks: rows may differ in width
             probs = [_softmax_1d(np.asarray(row)) for row in logits]
-        actions, action_logprobs = self._sample_actions(probs, training)
-        m_hat, raw_msg, msg_logprobs = self.regularizer.transmit(msg_means, training)
-        logprobs = action_logprobs + (msg_logprobs if cfg.communicate else 0.0)
-
-        self.board.post_rows(m_hat)
+        actions, logprobs = self._sample_actions(probs, training)
+        if cfg.communicate:
+            m_hat, raw_msg, msg_logprobs = self.regularizer.transmit(msg_means, training)
+            logprobs = logprobs + msg_logprobs
+            self.board.post_rows(m_hat)
 
         if training:
             if critic_feats is None:
@@ -380,13 +392,13 @@ class PairUpLightSystem(AgentSystem):
             values = self._critic_values(critic_feats, advance_state=True)
             self._pending = {
                 "obs": np.stack([_pad(o, self._obs_width()) for o in obs_rows]),
-                "msg_in": incoming,
                 "action": actions,
-                "raw_msg": raw_msg,
                 "logprob": logprobs,
                 "value": values,
                 "critic_feat": critic_feats,
             }
+            if cfg.communicate:
+                self._pending.update(msg_in=incoming, raw_msg=raw_msg)
         return {
             agent_id: int(actions[index])
             for index, agent_id in enumerate(self.agent_ids)
@@ -504,7 +516,7 @@ class PairUpLightSystem(AgentSystem):
         # result is element-for-element identical to the per-step
         # formulation.
         obs_seq = data["obs"][:, batch]
-        msg_seq = data["msg_in"][:, batch]
+        msg_seq = data["msg_in"][:, batch] if cfg.communicate else None
         feat_seq = data["critic_feat"][:, batch]
         actor_seq, critic_seq = lstm_sequence(
             actor.sequence_trunk(obs_seq, msg_seq),
@@ -539,7 +551,9 @@ class PairUpLightSystem(AgentSystem):
         value_steps: list[Tensor] = []
         for t in range(horizon):
             obs = data["obs"][t, index, : actor.obs_dim].reshape(1, -1)
-            msg_in = data["msg_in"][t, index].reshape(1, -1)
+            msg_in = (
+                data["msg_in"][t, index].reshape(1, -1) if cfg.communicate else None
+            )
             logits, msg_mean, a_state = actor(obs, msg_in, a_state)
             log_probs = F.log_softmax(logits)
             probs = F.softmax(logits)

@@ -260,10 +260,12 @@ class BatchedPolicyGroup(AgentGroup):
         cfg = master.config
         B, M = self.B, self.M
         flat = B * M
-        incoming = np.zeros((B, M, cfg.message_dim))
+        incoming = msg_flat = None
         if cfg.communicate:
+            incoming = np.zeros((B, M, cfg.message_dim))
             with TIMERS.section("act/route"):
                 self._route(incoming, live)
+            msg_flat = incoming.reshape(flat, cfg.message_dim)
 
         with TIMERS.section("act/forward"):
             obs_mat = np.asarray(
@@ -275,13 +277,10 @@ class BatchedPolicyGroup(AgentGroup):
             )
             with no_grad():
                 logits_t, msg_mean_t, new_state = master.shared_actor(
-                    obs_mat.reshape(flat, -1),
-                    incoming.reshape(flat, cfg.message_dim),
-                    self._actor_state,
+                    obs_mat.reshape(flat, -1), msg_flat, self._actor_state
                 )
                 self._actor_state = (new_state[0].detach(), new_state[1].detach())
                 logits = np.asarray(logits_t.data)
-                msg_means = msg_mean_t.data
             if training:
                 # The critic draws no randomness, so evaluating it before
                 # sampling leaves every RNG stream where it was.
@@ -299,24 +298,25 @@ class BatchedPolicyGroup(AgentGroup):
 
         with TIMERS.section("act/sample"):
             probs = softmax_rows(logits)
-            actions_flat, action_logprobs = self._sample_flat(probs, training)
-            m_hat, raw_msg, msg_logprobs = master.regularizer.transmit(
-                msg_means, training
-            )
-            logprobs = action_logprobs + (msg_logprobs if cfg.communicate else 0.0)
-            # Post every replica's messages (live or not) in one write.
-            self._messages[...] = m_hat.reshape(B, M, cfg.message_dim)
+            actions_flat, logprobs = self._sample_flat(probs, training)
+            if cfg.communicate:
+                m_hat, raw_msg, msg_logprobs = master.regularizer.transmit(
+                    msg_mean_t.data, training
+                )
+                logprobs = logprobs + msg_logprobs
+                # Post every replica's messages (live or not) in one write.
+                self._messages[...] = m_hat.reshape(B, M, cfg.message_dim)
 
         if training:
             self._pending = {
                 "obs": obs_mat.reshape(flat, -1),
-                "msg_in": incoming.reshape(flat, cfg.message_dim),
                 "action": actions_flat,
-                "raw_msg": raw_msg,
                 "logprob": logprobs,
                 "value": values_t.data.copy(),
                 "critic_feat": feats_flat,
             }
+            if cfg.communicate:
+                self._pending.update(msg_in=msg_flat, raw_msg=raw_msg)
         return [
             dict(zip(self.agent_ids, row)) if live[b] else None
             for b, row in enumerate(actions_flat.reshape(B, M).tolist())

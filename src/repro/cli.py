@@ -77,29 +77,16 @@ MODEL_CHOICES = (
 
 
 def _build_agent(name: str, env: TrafficSignalEnv, seed: int) -> AgentSystem:
-    from repro.agents import (
-        CoLightSystem,
-        FixedTimeSystem,
-        IQLSystem,
-        LongestQueueSystem,
-        MA2CSystem,
-        MaxPressureSystem,
-        PairUpLightSystem,
-        SingleAgentSystem,
-    )
+    from repro.agents import IQLSystem, LongestQueueSystem, MaxPressureSystem
 
     factories = {
-        "PairUpLight": lambda: PairUpLightSystem(env, seed=seed),
-        "SingleAgent": lambda: SingleAgentSystem(env, seed=seed),
-        "MA2C": lambda: MA2CSystem(env, seed=seed),
-        "CoLight": lambda: CoLightSystem(env, seed=seed),
-        "IQL": lambda: IQLSystem(env, seed=seed),
-        "Fixedtime": lambda: FixedTimeSystem(env),
-        "MaxPressure": lambda: MaxPressureSystem(env),
-        "LongestQueue": lambda: LongestQueueSystem(),
+        **default_model_factories(seed),
+        "IQL": lambda env: IQLSystem(env, seed=seed),
+        "MaxPressure": lambda env: MaxPressureSystem(env),
+        "LongestQueue": lambda env: LongestQueueSystem(),
     }
     try:
-        return factories[name]()
+        return factories[name](env)
     except KeyError:
         raise ConfigError(f"unknown model {name!r}; choose from {MODEL_CHOICES}")
 
@@ -485,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_multi.add_argument(
         "--batched-policy", action="store_true", dest="batched_policy",
         help="with --engine soa: one policy forward per tick for all "
-        "seeds' agents (PairUpLight only; bit-identical results)",
+        "seeds' agents (PairUpLight and SingleAgent only; bit-identical "
+        "results)",
     )
     p_multi.add_argument(
         "--shared-policy", action="store_true", dest="shared_policy",

@@ -70,12 +70,16 @@ def default_model_factories(seed: int = 0) -> dict[str, AgentFactory]:
     from repro.agents.colight import CoLightSystem
     from repro.agents.fixed_time import FixedTimeSystem
     from repro.agents.ma2c import MA2CSystem
-    from repro.agents.pairuplight import PairUpLightSystem
-    from repro.agents.single_agent import SingleAgentSystem
+    from repro.agents.pairuplight import PairUpLightConfig, PairUpLightSystem
 
     return {
         "Fixedtime": lambda env: FixedTimeSystem(env),
-        "SingleAgent": lambda env: SingleAgentSystem(env, seed=seed),
+        # SingleAgentRL: PairUpLight without communication, local critic.
+        "SingleAgent": lambda env: PairUpLightSystem(
+            env,
+            PairUpLightConfig(communicate=False, centralized_critic=False),
+            seed=seed,
+        ),
         "MA2C": lambda env: MA2CSystem(env, seed=seed),
         "CoLight": lambda env: CoLightSystem(env, seed=seed),
         "PairUpLight": lambda env: PairUpLightSystem(env, seed=seed),

@@ -8,8 +8,9 @@ with an entropy bonus for exploration.
 Because the actor and critic are recurrent (LSTM) and hidden states start
 at zero each episode, the minibatch unit is an *agent sequence*: a
 minibatch selects a subset of agents and re-runs their full episode
-forward pass.  The concrete forward pass lives in the agent (PairUpLight,
-SingleAgentRL, ...) and is supplied as an ``evaluate`` callable.
+forward pass.  The concrete forward pass lives in the agent
+(``PairUpLightSystem``, whose no-communication, local-critic preset is
+SingleAgentRL) and is supplied as an ``evaluate`` callable.
 """
 
 from __future__ import annotations

@@ -48,17 +48,7 @@ from repro.sim.io import (
     network_to_dict,
     save_scenario,
 )
-from repro.sim.render import grid_map, occupancy_table
 from repro.sim.routing import Router
-from repro.sim.tripinfo import (
-    DelayDecomposition,
-    ODSummary,
-    TripRecord,
-    all_trips,
-    format_od_table,
-    od_summaries,
-    trip_record,
-)
 from repro.sim.signal import (
     FixedTimeProgram,
     Phase,
@@ -72,7 +62,6 @@ __all__ = [
     "DEFAULT_COVERAGE_M",
     "DEFAULT_SATURATION_RATE",
     "DEFAULT_STARTUP_LOST_TIME",
-    "DelayDecomposition",
     "DemandGenerator",
     "DetectorSuite",
     "EpisodeRecorder",
@@ -83,7 +72,6 @@ __all__ = [
     "Movement",
     "MovementKey",
     "Node",
-    "ODSummary",
     "Phase",
     "PhasePlan",
     "RateProfile",
@@ -92,25 +80,18 @@ __all__ = [
     "SignalState",
     "Simulation",
     "TravelTimeStats",
-    "TripRecord",
     "TurnType",
     "VEHICLE_SPACE_M",
     "Vehicle",
     "VehicleState",
-    "all_trips",
     "average_travel_time",
     "classify_turn",
     "default_four_phase_plan",
-    "format_od_table",
-    "grid_map",
     "intersection_max_wait",
     "load_scenario",
     "network_average_wait",
     "network_from_dict",
     "network_to_dict",
-    "occupancy_table",
-    "od_summaries",
     "save_scenario",
     "travel_time_stats",
-    "trip_record",
 ]

@@ -9,14 +9,13 @@ from repro.agents.colight import CoLightSystem
 from repro.agents.fixed_time import FixedTimeSystem
 from repro.agents.ma2c import MA2CSystem
 from repro.agents.pairuplight import PairUpLightConfig, PairUpLightSystem
-from repro.agents.single_agent import SingleAgentSystem
 from repro.env.tsc_env import EnvConfig, TrafficSignalEnv
 from repro.errors import ConfigError
 from repro.rl.ppo import PPOConfig
 from repro.rl.runner import run_episode, train
 from repro.scenarios.monaco import build_monaco
 
-from helpers import make_env
+from helpers import make_env, single_agent
 
 
 def run_training_episodes(agent, env, episodes=2, seed=0):
@@ -33,7 +32,7 @@ def _small_colight(env):
 
 ALL_LEARNING_SYSTEMS = [
     lambda env: PairUpLightSystem(env, seed=0),
-    lambda env: SingleAgentSystem(env, seed=0),
+    lambda env: single_agent(env),
     lambda env: MA2CSystem(env, seed=0),
     _small_colight,
 ]
@@ -195,11 +194,14 @@ class TestSingleAgent:
             EnvConfig(horizon_ticks=60, max_ticks=600),
         )
         with pytest.raises(ConfigError):
-            SingleAgentSystem(env)
+            single_agent(env)
 
     def test_no_communication(self, tiny_grid):
         env = make_env(tiny_grid)
-        assert SingleAgentSystem(env, seed=0).communication_bits_per_step(env) == 0
+        agent = single_agent(env)
+        assert agent.communication_bits_per_step(env) == 0
+        assert agent.name == "SingleAgent"
+        assert agent.shared_actor.message_head is None
 
 
 class TestMA2C:

@@ -12,7 +12,7 @@ from repro.rl.ppo import PPOConfig
 from repro.rl.runner import run_episode, train
 from repro.scenarios.monaco import MonacoScenario, MonacoSpec
 
-from helpers import make_env
+from helpers import make_env, single_agent
 
 
 class TestSharedCheckpoint:
@@ -41,14 +41,19 @@ class TestSharedCheckpoint:
 
     def test_load_rejects_wrong_architecture(self, tiny_grid, tmp_path):
         env = make_env(tiny_grid)
-        agent = PairUpLightSystem(env, seed=0)
-        path = tmp_path / "weights.npz"
-        agent.save(path)
-        other = PairUpLightSystem(
-            env, PairUpLightConfig(hidden_size=32), seed=0
-        )
-        with pytest.raises(CheckpointError):
-            other.load(path)
+        # (saved, loading): a narrower network; the no-communication
+        # actor (no message input or head) and the communicating one.
+        pairs = [
+            (PairUpLightConfig(), PairUpLightConfig(hidden_size=32)),
+            (PairUpLightConfig(communicate=False), PairUpLightConfig()),
+            (PairUpLightConfig(), PairUpLightConfig(communicate=False)),
+        ]
+        for saved, loading in pairs:
+            path = tmp_path / "weights.npz"
+            PairUpLightSystem(env, saved, seed=0).save(path)
+            other = PairUpLightSystem(env, loading, seed=0)
+            with pytest.raises(CheckpointError):
+                other.load(path)
 
 
 class TestIndependentCheckpoint:
@@ -92,13 +97,47 @@ class TestGenericCheckpointing:
         np.testing.assert_allclose(get_probe(clone), get_probe(agent))
 
     def test_single_agent(self, tiny_grid, tmp_path):
-        from repro.agents.single_agent import SingleAgentSystem
-
         env = make_env(tiny_grid)
         self._round_trip(
-            lambda s: SingleAgentSystem(env, seed=s), env, tmp_path,
-            lambda a: a.actor.policy_head.weight.data,
+            lambda s: single_agent(env, seed=s), env, tmp_path,
+            lambda a: a.shared_actor.policy_head.weight.data,
         )
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_single_agent_keeps_the_standalone_layout(self, tiny_grid, seed):
+        """The SingleAgent preset's weights are laid out, named and
+        initialised as the standalone SingleAgentRL networks were, so
+        their ``.npz`` files still load: a local actor (encoder, LSTM,
+        policy head) then a local critic (encoder, LSTM, value head),
+        drawn in that order from ``default_rng(seed + 1)``."""
+        from repro.nn.linear import Linear
+        from repro.nn.lstm import LSTMCell
+
+        env = make_env(tiny_grid)
+        agent_id = env.agent_ids[0]
+        obs_dim = env.observation_spaces[agent_id].dim
+        num_phases = env.action_spaces[agent_id].n
+        hidden = PairUpLightConfig().hidden_size
+        rng = np.random.default_rng(seed + 1)
+        layers = [
+            ("actor.encoder", Linear(obs_dim, hidden, rng)),
+            ("actor.lstm", LSTMCell(hidden, hidden, rng)),
+            ("actor.policy_head", Linear(hidden, num_phases, rng, gain=0.01)),
+            ("critic.encoder", Linear(obs_dim, hidden, rng)),
+            ("critic.lstm", LSTMCell(hidden, hidden, rng)),
+            ("critic.value_head", Linear(hidden, 1, rng, gain=1.0)),
+        ]
+        expected = {
+            f"{prefix}.{name}": value
+            for prefix, layer in layers
+            for name, value in layer.state_dict().items()
+        }
+        state = single_agent(env, seed=seed).state_dict()
+        assert {k: v.shape for k, v in state.items()} == {
+            k: v.shape for k, v in expected.items()
+        }
+        for key, value in expected.items():
+            assert state[key].tobytes() == value.tobytes(), key
 
     def test_ma2c(self, tiny_grid, tmp_path):
         from repro.agents.ma2c import MA2CSystem

@@ -17,18 +17,17 @@ from repro.agents.colight import CoLightSystem
 from repro.agents.iql import IQLSystem
 from repro.agents.ma2c import MA2CSystem
 from repro.agents.pairuplight import PairUpLightConfig, PairUpLightSystem
-from repro.agents.single_agent import SingleAgentSystem
 from repro.nn.module import Parameter
 from repro.nn.optim import SGD
 
-from helpers import make_env
+from helpers import make_env, single_agent
 
 SYSTEMS = {
     "pairuplight-shared": lambda env: PairUpLightSystem(env, seed=0),
     "pairuplight-per-agent": lambda env: PairUpLightSystem(
         env, PairUpLightConfig(parameter_sharing=False), seed=0
     ),
-    "single-agent": lambda env: SingleAgentSystem(env, seed=0),
+    "single-agent": single_agent,
     "iql": lambda env: IQLSystem(env, seed=0),
     "ma2c": lambda env: MA2CSystem(env, seed=0),
     "colight": lambda env: CoLightSystem(env, seed=0),

@@ -6,8 +6,9 @@ in results: training B seeds through ``train_lockstep`` — with or
 without ``batched_policy=True`` — reproduces ``rl.runner.train`` seed by
 seed, down to the parameter bytes.  The suite pins:
 
-* PairUpLight via ``batched_policy=True`` (fast extraction + grouped
-  acting) — parameter bytes and episode summaries bit-exact vs serial;
+* PairUpLight and its SingleAgent preset via ``batched_policy=True``
+  (fast extraction + grouped acting) — parameter bytes and episode
+  summaries bit-exact vs serial;
 * a baseline (IQL) through the fast extraction — same contract;
 * a *faulted* variant, where fault-injecting detector suites disqualify
   the vectorized extractor and the reference per-env path must kick in
@@ -25,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import kernels
+from helpers import kernels, single_agent
 from repro.errors import ConfigError
 from repro.eval.batched import LockstepEnvGroup, train_lockstep
 from repro.eval.harness import ExperimentScale, make_experiment
@@ -107,12 +108,13 @@ def _iql(env, seed):
 
 class TestBatchedPathBitExact:
     def test_pairuplight_batched_policy(self):
-        serial_agents, serial_hist = _serial_histories(_pairuplight)
-        batched_agents, batched_hist = _batched_histories(
-            _pairuplight, batched_policy=True
-        )
-        _assert_same_parameters(serial_agents, batched_agents)
-        _assert_same_histories(serial_hist, batched_hist)
+        for factory in (_pairuplight, single_agent):
+            serial_agents, serial_hist = _serial_histories(factory)
+            batched_agents, batched_hist = _batched_histories(
+                factory, batched_policy=True
+            )
+            _assert_same_parameters(serial_agents, batched_agents)
+            _assert_same_histories(serial_hist, batched_hist)
 
     def test_baseline_fast_extraction(self):
         serial_agents, serial_hist = _serial_histories(_iql)
@@ -233,25 +235,26 @@ class TestIncompatibleAgents:
 
 class TestSharedAcrossReplicas:
     def test_trains_deterministically(self):
-        def run():
+        def run(factory):
             agents, histories = _batched_histories(
-                _pairuplight, batched_policy=True, shared_across_replicas=True
+                factory, batched_policy=True, shared_across_replicas=True
             )
             return agents[0].state_dict(), histories
 
-        state_a, hist_a = run()
-        state_b, hist_b = run()
-        for key in state_a:
-            assert state_a[key].tobytes() == state_b[key].tobytes(), key
-        for hist in hist_a:
-            for log in hist.episodes:
-                assert log.update_stats  # one combined PPO update ran
-                for value in log.update_stats.values():
-                    assert np.isfinite(value)
-        # Every seed's history records the same combined-update stats.
-        for log_0, log_1 in zip(hist_a[0].episodes, hist_a[1].episodes):
-            assert log_0.update_stats == log_1.update_stats
-        _assert_same_histories(hist_a, hist_b)
+        for factory in (_pairuplight, single_agent):
+            state_a, hist_a = run(factory)
+            state_b, hist_b = run(factory)
+            for key in state_a:
+                assert state_a[key].tobytes() == state_b[key].tobytes(), key
+            for hist in hist_a:
+                for log in hist.episodes:
+                    assert log.update_stats  # one combined PPO update ran
+                    for value in log.update_stats.values():
+                        assert np.isfinite(value)
+            # Every seed's history records the same combined-update stats.
+            for log_0, log_1 in zip(hist_a[0].episodes, hist_a[1].episodes):
+                assert log_0.update_stats == log_1.update_stats
+            _assert_same_histories(hist_a, hist_b)
 
     def test_fused_matches_composed_bit_exact(self):
         """The shared-mode oracle: the fused update path (whole-sequence

@@ -5,7 +5,8 @@ so the serial runner's crash-safety reaches B > 1:
 
 * kill-and-resume is bit-exact (waits, rewards, parameter bytes,
   optimizer moments, RNG state) for a 6x6 B=8 ``shared_across_replicas``
-  run and for B=2 independent mode;
+  run and for B=2 independent mode, and for the SingleAgent preset
+  serially and at B=2;
 * the NaN guard rolls back only the poisoned replica's learner, and both
   replicas' histories equal their serial runs;
 * a contained ``SimulationError`` aborts the group episode for every
@@ -21,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import make_env
+from helpers import make_env, single_agent
 from repro.agents import FixedTimeSystem, MaxPressureSystem, PairUpLightSystem
 from repro.errors import ConfigError, SimulationError
 from repro.eval.batched import LockstepEnvGroup, train_lockstep
@@ -114,6 +115,21 @@ class TestKillAndResume:
             envs = _tiny_envs()
             agents = [PairUpLightSystem(env, seed=s) for env, s in zip(envs, SEEDS)]
             return agents, envs, SEEDS
+
+        self._kill_and_resume(make_group, tmp_path, batched_policy=batched_policy)
+
+    @pytest.mark.parametrize(
+        "replicas,batched_policy",
+        [(1, False), (2, False), (2, True)],
+        ids=["serial", "b2", "b2-batched"],
+    )
+    def test_single_agent_resume_is_bit_exact(
+        self, tmp_path, replicas, batched_policy
+    ):
+        def make_group():
+            seeds = SEEDS[:replicas]
+            envs = _tiny_envs(seeds=seeds)
+            return [single_agent(env, s) for env, s in zip(envs, seeds)], envs, seeds
 
         self._kill_and_resume(make_group, tmp_path, batched_policy=batched_policy)
 

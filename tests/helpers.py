@@ -41,6 +41,15 @@ def make_env(
     )
 
 
+def single_agent(env: TrafficSignalEnv, seed: int = 0):
+    """The SingleAgentRL baseline: PairUpLight's no-communication,
+    local-critic preset."""
+    from repro.agents.pairuplight import PairUpLightConfig, PairUpLightSystem
+
+    config = PairUpLightConfig(communicate=False, centralized_critic=False)
+    return PairUpLightSystem(env, config, seed=seed)
+
+
 def public_engine_snapshot(sim) -> dict:
     """The full public introspection surface of an engine, as one dict.
 
@@ -269,9 +278,8 @@ def evaluate_shared_stepwise(agent, data, batch):
     c_state = critic.initial_state(len(batch))
     logprob_steps, entropy_steps, value_steps = [], [], []
     for t in range(data["obs"].shape[0]):
-        logits, msg_mean, a_state = actor(
-            data["obs"][t, batch], data["msg_in"][t, batch], a_state
-        )
+        msg_in = data["msg_in"][t, batch] if cfg.communicate else None
+        logits, msg_mean, a_state = actor(data["obs"][t, batch], msg_in, a_state)
         log_probs = F.log_softmax(logits)
         probs = F.softmax(logits)
         step_logprob = F.gather(log_probs, data["action"][t, batch])

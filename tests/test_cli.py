@@ -87,6 +87,18 @@ class TestCommands:
         assert "PairUpLight" in out
         assert "32" in out
 
+    def test_multiseed_single_agent_batched_policy(self, capsys):
+        """SingleAgent is a PairUpLight preset, so the batched policy path
+        drives it, with the per-seed numbers of the unbatched run."""
+        argv = ["multiseed", *FAST, "--model", "SingleAgent", "--seeds", "0", "1",
+                "--engine", "soa"]
+        assert main(argv) == 0
+        unbatched = capsys.readouterr().out
+        assert main([*argv, "--batched-policy"]) == 0
+        batched = capsys.readouterr().out
+        assert "seed 1" in batched
+        assert batched == unbatched
+
 
 class TestExtendedModels:
     def test_evaluate_maxpressure(self, capsys):

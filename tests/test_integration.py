@@ -13,13 +13,12 @@ import pytest
 
 from repro.agents.fixed_time import FixedTimeSystem
 from repro.agents.pairuplight import PairUpLightConfig, PairUpLightSystem
-from repro.agents.single_agent import SingleAgentSystem
 from repro.env.tsc_env import EnvConfig, TrafficSignalEnv
 from repro.rl.ppo import PPOConfig
 from repro.rl.runner import evaluate, train
 from repro.scenarios.monaco import MonacoSpec, MonacoScenario
 
-from helpers import make_env
+from helpers import make_env, single_agent
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +84,7 @@ class TestLearningProgress:
 class TestSingleAgentLearning:
     def test_single_agent_improves(self, tiny_grid_module):
         env = make_env(tiny_grid_module, peak_rate=700, t_peak=100, horizon_ticks=300)
-        agent = SingleAgentSystem(env, seed=0)
+        agent = single_agent(env, seed=0)
         history = train(agent, env, episodes=30, seed=0)
         curve = history.wait_curve
         # Learning happened: the best stretch clearly undercuts the start.
